@@ -26,7 +26,7 @@ from repro.algorithms.base import (
     HistogramAlgorithm,
 )
 from repro.core.frequency import merge_key_counts
-from repro.core.haar import sparse_haar_transform
+from repro.core.haar import sparse_haar_arrays
 from repro.core.topk_coefficients import top_k_coefficients
 from repro.mapreduce.api import BatchMapper, BatchReducer, MapperContext, ReducerContext
 from repro.mapreduce.counters import CounterNames
@@ -59,21 +59,17 @@ class SendCoefMapper(BatchMapper):
 
     def close(self, context: MapperContext) -> None:
         log_u = max(1, self._u.bit_length() - 1)
-        coefficients = sparse_haar_transform(self._counts, self._u)
+        indices, values = sparse_haar_arrays(self._counts, self._u)
         context.counters.increment(
             CounterNames.WAVELET_TRANSFORM_OPS, len(self._counts) * (log_u + 1)
         )
+        nonzero = values != 0.0
+        indices, values = indices[nonzero], values[nonzero]
         if self._batched:
-            n = len(coefficients)
-            indices = np.fromiter(coefficients.keys(), dtype=np.int64, count=n)
-            values = np.fromiter(coefficients.values(), dtype=np.float64, count=n)
-            nonzero = values != 0.0
-            context.emit_block(indices[nonzero], values[nonzero],
-                               COEFFICIENT_PAIR_BYTES)
+            context.emit_block(indices, values, COEFFICIENT_PAIR_BYTES)
             return
-        for index, value in coefficients.items():
-            if value != 0.0:
-                context.emit(index, float(value), size_bytes=COEFFICIENT_PAIR_BYTES)
+        for index, value in zip(indices.tolist(), values.tolist()):
+            context.emit(index, value, size_bytes=COEFFICIENT_PAIR_BYTES)
 
 
 class SendCoefReducer(BatchReducer):

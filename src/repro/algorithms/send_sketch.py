@@ -47,7 +47,9 @@ class SendSketchMapper(BatchMapper):
     On the batch plane the split's local frequency vector is aggregated with
     one vectorised counting pass; the sketch insertion itself was already
     array-at-a-time (the GCS's precomputed hash tables turn a whole
-    coefficient batch into fancy indexing), so Close is unchanged.
+    coefficient batch into fancy indexing), so Close is unchanged.  Those
+    hash tables are built once per process and shared by every task's
+    sketch, so a task allocates, and ships to the reducer, only its counters.
     """
 
     def setup(self, context: MapperContext) -> None:

@@ -18,6 +18,7 @@ from repro.core.frequency import FrequencyVector, frequency_vector_from_keys
 from repro.core.haar import (
     haar_transform,
     inverse_haar_transform,
+    sparse_haar_arrays,
     sparse_haar_transform,
     wavelet_basis_vector,
     coefficient_level,
@@ -36,6 +37,7 @@ __all__ = [
     "haar_transform",
     "inverse_haar_transform",
     "sparse_haar_transform",
+    "sparse_haar_arrays",
     "wavelet_basis_vector",
     "coefficient_level",
     "coefficient_support",

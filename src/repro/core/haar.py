@@ -25,7 +25,8 @@ Three transform implementations are provided:
     ``O(|v| log u)``-time, ``O(|v| log u)``-space transform that only touches
     the coefficients reachable from non-zero entries — the algorithm of
     Gilbert et al. [20] the paper uses inside each mapper, where the local
-    frequency vector is sparse compared to the domain.
+    frequency vector is sparse compared to the domain
+    (``sparse_haar_arrays`` returns the same coefficients as arrays).
 
 ``inverse_haar_transform``
     Exact inverse of ``haar_transform`` (used for reconstruction and SSE
@@ -46,6 +47,7 @@ __all__ = [
     "haar_transform",
     "inverse_haar_transform",
     "sparse_haar_transform",
+    "sparse_haar_arrays",
     "sparse_inverse_contribution",
     "wavelet_basis_vector",
     "basis_value",
@@ -240,25 +242,39 @@ def sparse_haar_transform(counts: Mapping[int, float], u: int) -> Dict[int, floa
         u: domain size (power of two).
 
     Returns:
-        Mapping from 1-based coefficient index to its value; only coefficients
-        that can be non-zero (those on some present key's leaf-to-root path)
-        appear.  Exact cancellations may still leave zero-valued entries.
+        Mapping from 1-based coefficient index to its value, in ascending
+        index order; only coefficients that can be non-zero (those on some
+        present key's leaf-to-root path) appear.  Exact cancellations may
+        still leave zero-valued entries.
 
     Runs in ``O(|counts| * log u)`` time using the per-key path decomposition:
     coefficient ``w_i = sum_x v(x) * psi_i(x)``, and a single key contributes
-    to only ``log2(u) + 1`` coefficients.  The implementation is batched numpy
-    — one vectorised pass per resolution level over all present keys — because
+    to only ``log2(u) + 1`` coefficients.  See :func:`sparse_haar_arrays` for
+    the same coefficients as arrays.
+    """
+    indices, values = sparse_haar_arrays(counts, u)
+    return dict(zip(indices.tolist(), values.tolist()))
+
+
+def sparse_haar_arrays(counts: Mapping[int, float], u: int) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`sparse_haar_transform` as ``(indices, values)`` arrays.
+
+    Returns the 1-based coefficient indices (int64, ascending and distinct)
+    and their values (float64), for callers that feed the coefficients to
+    numpy rather than look them up.  The implementation is batched numpy —
+    one vectorised pass per resolution level over all present keys — because
     this is the hot path of every mapper task.
     """
     log_u = validate_domain(u)
+    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
     if not counts:
-        return {}
+        return empty
     keys = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
     values = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
     nonzero = values != 0.0
     keys, values = keys[nonzero], values[nonzero]
     if keys.size == 0:
-        return {}
+        return empty
     if keys.min() < 1 or keys.max() > u:
         bad = keys[(keys < 1) | (keys > u)][0]
         raise KeyOutOfDomainError(f"key {bad} outside domain [1, {u}]")
@@ -285,11 +301,7 @@ def sparse_haar_transform(counts: Mapping[int, float], u: int) -> Dict[int, floa
     sorted_contributions = flat_contributions[order]
     boundaries = np.flatnonzero(np.diff(sorted_indices)) + 1
     starts = np.concatenate(([0], boundaries))
-    sums = np.add.reduceat(sorted_contributions, starts)
-    return {
-        int(index): float(value)
-        for index, value in zip(sorted_indices[starts], sums)
-    }
+    return sorted_indices[starts], np.add.reduceat(sorted_contributions, starts)
 
 
 def sparse_inverse_contribution(coefficients: Mapping[int, float], key: int, u: int) -> float:

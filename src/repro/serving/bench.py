@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -52,13 +52,13 @@ class ThroughputReport:
             engine — the per-request latency a serving process would see at
             that batch size (``None`` when the workload was too small to
             form a batch).
-        payload_mmap_total: process-wide count of mmap'd payload loads
-            (``repro_payload_mmap_total``) at measurement time.
+        payload_mmap_total: mmap'd payload loads made during the call
+            (the change in ``repro_payload_mmap_total``).
         payload_resident_bytes: resident payload bytes by kind
             (``repro_payload_bytes_resident{kind=mapped|heap}``).
-        ship_bytes: task-shipping bytes by mode
-            (``repro_task_ship_bytes_total`` summed over phases) — nonzero
-            when a fan-out executor shipped query shards.
+        ship_bytes: task-shipping bytes by mode shipped during the call (the
+            change in ``repro_task_ship_bytes_total``, summed over phases) —
+            nonzero when a fan-out executor shipped query shards.
     """
 
     queries: int
@@ -165,6 +165,11 @@ def measure_serving_throughput(
         ServingError: if the batch engine disagrees with the scalar loop
             beyond ``atol``, or a cached pass disagrees with an uncached one.
     """
+    # The registry is process-wide: report only what this call adds to it.
+    registry = get_telemetry().metrics
+    mmap_before = registry.counter_value("repro_payload_mmap_total")
+    ship_before = _ship_bytes_by_mode(registry.snapshot())
+
     histogram = served.histogram
     start = time.perf_counter()
     scalar = np.array([histogram.range_sum_scalar(lo, hi) for lo, hi in workload])
@@ -228,20 +233,19 @@ def measure_serving_throughput(
                      batches, latency_batch_size)
 
     # Zero-copy observability: how the measured payload is resident (mapped
-    # vs heap) and what any fan-out executor shipped, straight from the
-    # process registry so serve-bench output matches a live metrics scrape.
-    registry = get_telemetry().metrics
+    # vs heap) and what any fan-out executor shipped during the call, read
+    # from the process registry so serve-bench output matches a live scrape.
     snapshot = registry.snapshot()
     resident = {
         entry["labels"].get("kind", ""): entry["value"]
         for entry in snapshot["gauges"]
         if entry["name"] == "repro_payload_bytes_resident" and entry["value"]
     }
-    ship: Dict[str, float] = {}
-    for entry in snapshot["counters"]:
-        if entry["name"] == "repro_task_ship_bytes_total":
-            mode = entry["labels"].get("mode", "")
-            ship[mode] = ship.get(mode, 0.0) + entry["value"]
+    ship = {
+        mode: total - ship_before.get(mode, 0.0)
+        for mode, total in _ship_bytes_by_mode(snapshot).items()
+        if total != ship_before.get(mode, 0.0)
+    }
 
     return ThroughputReport(
         queries=len(workload),
@@ -255,7 +259,18 @@ def measure_serving_throughput(
         latency_batch_size=latency_batch_size if latency_p50_ms is not None else None,
         latency_p50_ms=latency_p50_ms,
         latency_p99_ms=latency_p99_ms,
-        payload_mmap_total=registry.counter_value("repro_payload_mmap_total"),
+        payload_mmap_total=(registry.counter_value("repro_payload_mmap_total")
+                            - mmap_before),
         payload_resident_bytes=resident,
         ship_bytes=ship,
     )
+
+
+def _ship_bytes_by_mode(snapshot: Dict[str, Any]) -> Dict[str, float]:
+    """``repro_task_ship_bytes_total`` of a registry snapshot, summed by mode."""
+    ship: Dict[str, float] = {}
+    for entry in snapshot["counters"]:
+        if entry["name"] == "repro_task_ship_bytes_total":
+            mode = entry["labels"].get("mode", "")
+            ship[mode] = ship.get(mode, 0.0) + entry["value"]
+    return ship

@@ -16,27 +16,95 @@ width, plus signed point estimates from the finest level.
 All sketches built with the same ``(seed, shape)`` are *linear*: the sketch of
 the union of two datasets is the entry-wise sum of their sketches, which is
 what the Send-Sketch reducer exploits.
+
+A sketch is two parts.  Its **hash family** (the per-group bucket and the
+per-item sub-bucket and sign of every row, :class:`GcsHashFamily`) is a pure
+function of ``(universe, shift, depth, group_buckets, item_buckets, seed)``
+and dwarfs the counters (``depth * universe`` entries against
+``depth * group_buckets * item_buckets``), so it is built once per process,
+held read-only in a small bounded cache (:func:`gcs_hash_family`) and shared
+by every sketch of that shape.  Its **counter table** is the sketch's own
+mutable state, and it is all a sketch pickles: a sketch shipped to a worker
+or back re-attaches its family on load instead of carrying it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SketchError
 from repro.sketches.hashing import FourWiseHash, PairwiseHash
 
-__all__ = ["GroupCountSketch", "HierarchicalGcs"]
+__all__ = ["GcsHashFamily", "GroupCountSketch", "HierarchicalGcs", "gcs_hash_family"]
+
+# Families kept per process.  A hierarchy has one family per level, and the
+# cache must hold every level of one hierarchy at once or each new sketch would
+# evict the levels the next one needs: 32 covers any universe up to 2^32 at
+# branching 2.  Families of an evicted shape are rebuilt on their next use.
+HASH_FAMILY_CACHE_SIZE = 32
+
+# The sketch attributes that alias its hash family (never pickled).
+_HASH_ATTRIBUTES = ("_group_bucket", "_item_bucket", "_item_sign")
 
 
 def _is_power_of_two(value: int) -> bool:
     return value >= 1 and (value & (value - 1)) == 0
 
 
+class GcsHashFamily(NamedTuple):
+    """The seeded hash tables of one GCS shape, read-only and shared.
+
+    Attributes:
+        group_bucket: ``(depth, num_groups)`` bucket of every group, per row.
+        item_bucket: ``(depth, universe)`` sub-bucket of every item, per row.
+        item_sign: ``(depth, universe)`` ±1 sign of every item, per row (int8).
+    """
+
+    group_bucket: np.ndarray
+    item_bucket: np.ndarray
+    item_sign: np.ndarray
+
+
+@functools.lru_cache(maxsize=HASH_FAMILY_CACHE_SIZE)
+def gcs_hash_family(universe: int, shift: int, depth: int, group_buckets: int,
+                    item_buckets: int, seed: int) -> GcsHashFamily:
+    """The hash family of a GCS shape, built on first use and cached per process.
+
+    Each row draws a pairwise group hash, a pairwise item hash and a four-wise
+    sign hash from ``default_rng(seed)``, in that order, and tabulates them
+    over every group and item so that batch updates are pure numpy indexing.
+    The arrays are read-only because every sketch of the shape shares them.
+    """
+    num_groups = (universe + (1 << shift) - 1) >> shift
+    rng = np.random.default_rng(seed)
+    items = np.arange(universe, dtype=np.int64)
+    groups = np.arange(num_groups, dtype=np.int64)
+    family = GcsHashFamily(
+        group_bucket=np.empty((depth, num_groups), dtype=np.int64),
+        item_bucket=np.empty((depth, universe), dtype=np.int64),
+        item_sign=np.empty((depth, universe), dtype=np.int8),
+    )
+    for row in range(depth):
+        group_hash = PairwiseHash(rng=rng)
+        item_hash = PairwiseHash(rng=rng)
+        sign_hash = FourWiseHash(rng=rng)
+        family.group_bucket[row] = group_hash.bucket_array(groups, group_buckets)
+        family.item_bucket[row] = item_hash.bucket_array(items, item_buckets)
+        family.item_sign[row] = sign_hash.sign_array(items)
+    for table in family:
+        table.flags.writeable = False
+    return family
+
+
 class GroupCountSketch:
     """A single-level GCS over items ``0 .. universe-1`` grouped by ``item >> shift``.
+
+    The sketch owns only its ``(depth, group_buckets, item_buckets)`` counter
+    table; its hash tables are the shape's shared :func:`gcs_hash_family`.
 
     Attributes:
         universe: number of distinct items.
@@ -68,23 +136,25 @@ class GroupCountSketch:
         self.item_buckets = item_buckets
         self.seed = seed
         self.num_groups = (universe + (1 << shift) - 1) >> shift
-
         self._table = np.zeros((depth, group_buckets, item_buckets), dtype=float)
-        rng = np.random.default_rng(seed)
-        items = np.arange(universe, dtype=np.int64)
-        groups = np.arange(self.num_groups, dtype=np.int64)
-        # Precomputed hash tables make batch updates pure numpy indexing.
-        self._group_bucket = np.empty((depth, self.num_groups), dtype=np.int64)
-        self._item_bucket = np.empty((depth, universe), dtype=np.int64)
-        self._item_sign = np.empty((depth, universe), dtype=np.int8)
-        for row in range(depth):
-            group_hash = PairwiseHash(rng=rng)
-            item_hash = PairwiseHash(rng=rng)
-            sign_hash = FourWiseHash(rng=rng)
-            self._group_bucket[row] = _vector_bucket(group_hash, groups, group_buckets)
-            self._item_bucket[row] = _vector_bucket(item_hash, items, item_buckets)
-            self._item_sign[row] = _vector_sign(sign_hash, items)
         self.update_ops = 0
+        self._attach_hashes()
+
+    def _attach_hashes(self) -> None:
+        self._group_bucket, self._item_bucket, self._item_sign = gcs_hash_family(
+            self.universe, self.shift, self.depth, self.group_buckets,
+            self.item_buckets, self.seed,
+        )
+
+    # --------------------------------------------------------------- pickling
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the parameters and counters; the hash family stays behind."""
+        return {name: value for name, value in self.__dict__.items()
+                if name not in _HASH_ATTRIBUTES}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._attach_hashes()
 
     # ----------------------------------------------------------------- update
     def update(self, item: int, delta: float) -> None:
@@ -119,6 +189,12 @@ class GroupCountSketch:
             bucket = self._group_bucket[row, group]
             energies[row] = float(np.sum(self._table[row, bucket, :] ** 2))
         return float(np.median(energies))
+
+    def group_energies(self, groups: np.ndarray) -> np.ndarray:
+        """:meth:`group_energy` of every group in ``groups``, with one gather."""
+        rows = np.arange(self.depth)[:, np.newaxis]
+        cells = self._table[rows, self._group_bucket[:, groups], :]
+        return np.median(np.sum(cells ** 2, axis=2), axis=0)
 
     def estimate_item(self, item: int) -> float:
         """Signed estimate of a single item's value (only meaningful when ``shift == 0``)."""
@@ -170,12 +246,9 @@ class GroupCountSketch:
         return self.depth * self.group_buckets * self.item_buckets
 
 
-def _vector_bucket(hash_function: PairwiseHash, values: np.ndarray, buckets: int) -> np.ndarray:
-    return hash_function.bucket_array(values, buckets)
-
-
-def _vector_sign(hash_function: FourWiseHash, values: np.ndarray) -> np.ndarray:
-    return hash_function.sign_array(values)
+def _strongest(groups: np.ndarray, energies: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` groups first in descending ``(energy, group)`` order."""
+    return groups[np.lexsort((groups, energies))[::-1][:count]]
 
 
 class HierarchicalGcs:
@@ -339,26 +412,20 @@ class HierarchicalGcs:
         beam = beam_width if beam_width is not None else max(4 * k, 32)
 
         coarsest = self._levels[-1]
-        candidates = list(range(coarsest.num_groups))
+        candidates = np.arange(coarsest.num_groups, dtype=np.int64)
         # Walk from the coarsest level towards the finest, expanding children.
         for level_index in range(len(self._levels) - 1, 0, -1):
             level = self._levels[level_index]
-            scored = [(level.group_energy(group), group) for group in candidates]
-            scored.sort(reverse=True)
-            survivors = [group for _, group in scored[:beam]]
+            survivors = _strongest(candidates, level.group_energies(candidates), beam)
             finer = self._levels[level_index - 1]
             ratio = (1 << level.shift) >> finer.shift
-            candidates = []
-            for group in survivors:
-                first_child = group * ratio
-                for child in range(first_child, min(first_child + ratio, finer.num_groups)):
-                    candidates.append(child)
+            children = (survivors[:, np.newaxis] * ratio + np.arange(ratio)).ravel()
+            candidates = children[children < finer.num_groups]
 
         finest = self._levels[0]
-        scored_items = [(finest.group_energy(item), item) for item in candidates]
-        scored_items.sort(reverse=True)
-        top_candidates = [item for _, item in scored_items[: max(beam, k)]]
-        estimates = {item: finest.estimate_item(item) for item in top_candidates}
+        top_candidates = _strongest(candidates, finest.group_energies(candidates),
+                                    max(beam, k))
+        estimates = {item: finest.estimate_item(item) for item in top_candidates.tolist()}
         if significance > 0:
             threshold = significance * self.noise_floor()
             estimates = {item: value for item, value in estimates.items()

@@ -6,7 +6,9 @@ under point updates to the *signal*: adding ``c`` occurrences of key ``x``
 adds ``c * psi_i(x)`` to every coefficient ``i`` on the key's leaf-to-root
 path (``log2(u) + 1`` coefficients).  :class:`WaveletGcsSketch` packages that
 translation on top of :class:`~repro.sketches.gcs.HierarchicalGcs` and is the
-data structure the Send-Sketch mappers build and ship.
+data structure the Send-Sketch mappers build and ship.  Shipping one moves only
+its counter tables: the hash tables of every level are shared per process (see
+:mod:`repro.sketches.gcs`) and re-attached when a shipped sketch is loaded.
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ from typing import Dict, Mapping, Optional
 
 import numpy as np
 
-from repro.core.haar import basis_value, coefficients_for_key, validate_domain
+from repro.core.haar import (
+    basis_value,
+    coefficients_for_key,
+    sparse_haar_arrays,
+    validate_domain,
+)
 from repro.core.topk_coefficients import top_k_coefficients
 from repro.errors import SketchError
 from repro.sketches.gcs import HierarchicalGcs
@@ -54,8 +61,6 @@ class WaveletGcsSketch:
             depth=depth,
             seed=seed,
         )
-        # psi values along a key's path are determined by the key and level
-        # only; caching the per-key path arrays keeps updates vectorised.
         self.key_updates = 0
 
     @property
@@ -84,14 +89,10 @@ class WaveletGcsSketch:
         frequency vector first, then insert each *distinct* key once with its
         aggregate count.
         """
-        from repro.core.haar import sparse_haar_transform
-
-        coefficients = sparse_haar_transform(dict(counts), self.u)
-        if not coefficients:
+        indices, values = sparse_haar_arrays(counts, self.u)
+        if indices.size == 0:
             return
-        items = np.array([index - 1 for index in coefficients], dtype=np.int64)
-        deltas = np.array([coefficients[index] for index in coefficients], dtype=float)
-        self._gcs.update_batch(items, deltas)
+        self._gcs.update_batch(indices - 1, values)
         self.key_updates += len(counts)
 
     # --------------------------------------------------------------- queries

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.errors import SketchError
-from repro.sketches.gcs import GroupCountSketch, HierarchicalGcs
+from repro.sketches.gcs import GroupCountSketch, HierarchicalGcs, gcs_hash_family
+from repro.sketches.hashing import FourWiseHash, PairwiseHash
+from repro.sketches.wavelet import WaveletGcsSketch
+
+# (universe, shift, depth, group_buckets, item_buckets, seed)
+FAMILY_KEY = (256, 2, 3, 16, 4, 9)
 
 
 def _populated_sketch(seed: int = 11) -> GroupCountSketch:
@@ -180,3 +187,87 @@ class TestHierarchicalGcs:
         gcs = HierarchicalGcs(universe=256, seed=2)
         with pytest.raises(SketchError):
             gcs.search_top_k(0)
+
+
+class TestHashFamily:
+    def test_equal_parameters_share_one_read_only_family(self):
+        a = GroupCountSketch(*FAMILY_KEY)
+        b = GroupCountSketch(*FAMILY_KEY)
+        for name in ("_group_bucket", "_item_bucket", "_item_sign"):
+            assert np.shares_memory(getattr(a, name), getattr(b, name))
+            with pytest.raises(ValueError):
+                getattr(a, name)[0, 0] = 1
+        # The counters stay private to each sketch.
+        a.update(5, 3.0)
+        assert not np.shares_memory(a._table, b._table)
+        assert b.nonzero_entries() == 0
+
+    @pytest.mark.parametrize("position", range(len(FAMILY_KEY)))
+    def test_each_key_parameter_selects_its_own_family(self, position):
+        changed = list(FAMILY_KEY)
+        changed[position] += 1
+        assert gcs_hash_family(*FAMILY_KEY) is gcs_hash_family(*FAMILY_KEY)
+        assert gcs_hash_family(*changed) is not gcs_hash_family(*FAMILY_KEY)
+        base, other = GroupCountSketch(*FAMILY_KEY), GroupCountSketch(*changed)
+        assert not np.shares_memory(base._item_bucket, other._item_bucket)
+
+    def test_family_is_drawn_from_the_seed_row_by_row(self):
+        universe, shift, depth, group_buckets, item_buckets, seed = FAMILY_KEY
+        family = gcs_hash_family(*FAMILY_KEY)
+        rng = np.random.default_rng(seed)
+        items = np.arange(universe)
+        groups = np.arange(universe >> shift)
+        for row in range(depth):
+            group_hash, item_hash = PairwiseHash(rng=rng), PairwiseHash(rng=rng)
+            sign_hash = FourWiseHash(rng=rng)
+            np.testing.assert_array_equal(family.group_bucket[row],
+                                          group_hash.bucket_array(groups, group_buckets))
+            np.testing.assert_array_equal(family.item_bucket[row],
+                                          item_hash.bucket_array(items, item_buckets))
+            np.testing.assert_array_equal(family.item_sign[row], sign_hash.sign_array(items))
+
+    def test_pickled_anchor_sketch_carries_only_its_counters(self):
+        sketch = WaveletGcsSketch(u=2 ** 15, bytes_per_level=8 * 1024, seed=131)
+        sketch.update_frequency_vector({1: 4.0, 77: 2.0, 30_000: 9.0})
+        assert len(pickle.dumps(sketch, protocol=5)) < 64 * 1024
+
+    def test_batched_scoring_matches_per_group_calls_bit_for_bit(self):
+        for depth in (2, 3, 4):
+            gcs = HierarchicalGcs(universe=1024, branching=4, depth=depth,
+                                  group_buckets=16, item_buckets=8, seed=depth)
+            rng = np.random.default_rng(depth)
+            items = rng.choice(1024, size=300, replace=False)
+            gcs.update_batch(items, rng.normal(scale=50.0, size=items.size))
+            for level in gcs.levels:
+                groups = np.arange(level.num_groups)
+                assert level.group_energies(groups).tolist() == [
+                    level.group_energy(group) for group in range(level.num_groups)]
+
+    @pytest.mark.parametrize("beam_width", [2, 5, None])
+    def test_search_keeps_the_descending_energy_then_group_order(self, beam_width):
+        # Few heavy items leave most groups tied at zero energy, so the beam
+        # cut falls inside a tie; the reference walk scores one group at a
+        # time and sorts (energy, group) pairs in descending order.
+        gcs = HierarchicalGcs(universe=512, branching=4, depth=3, group_buckets=16,
+                              item_buckets=4, seed=23)
+        gcs.update_batch(np.array([3, 4, 130, 131, 400]),
+                         np.array([50.0, 50.0, -50.0, 50.0, 20.0]))
+        k = 3
+        beam = beam_width if beam_width is not None else max(4 * k, 32)
+        levels = gcs.levels
+        candidates = list(range(levels[-1].num_groups))
+        for index in range(len(levels) - 1, 0, -1):
+            scored = sorted(((levels[index].group_energy(g), g) for g in candidates),
+                            reverse=True)
+            ratio = (1 << levels[index].shift) >> levels[index - 1].shift
+            candidates = [child for _, group in scored[:beam]
+                          for child in range(group * ratio, group * ratio + ratio)
+                          if child < levels[index - 1].num_groups]
+        scored = sorted(((levels[0].group_energy(i), i) for i in candidates), reverse=True)
+        estimates = {item: levels[0].estimate_item(item) for _, item in scored[:max(beam, k)]}
+        threshold = 2.0 * gcs.noise_floor()
+        ranked = sorted(((item, value) for item, value in estimates.items()
+                         if abs(value) >= threshold),
+                        key=lambda pair: (abs(pair[1]), -pair[0]), reverse=True)
+        expected = {item: value for item, value in ranked[:k] if value != 0.0}
+        assert gcs.search_top_k(k, beam_width=beam_width) == expected

@@ -30,6 +30,7 @@ Run any suite under the reference copying path with ``--zero-copy off``
 from __future__ import annotations
 
 import mmap
+import pickle
 
 import numpy as np
 import pytest
@@ -54,13 +55,16 @@ from repro.mapreduce.serialization import (
     load_shipped,
     set_zero_copy_default,
 )
+from repro.serving.bench import measure_serving_throughput
 from repro.serving.engine import BatchQueryEngine
-from repro.sketches.gcs import GroupCountSketch
+from repro.sketches.gcs import GroupCountSketch, gcs_hash_family
+from repro.sketches.wavelet import WaveletGcsSketch
 from repro.serving.store import (
     SynopsisStore,
     deserialize_arrays,
     serialize_histogram,
 )
+from repro.serving.workload import WorkloadGenerator
 from repro.service import RuntimeProfile, SynopsisService
 from repro.telemetry import get_telemetry
 
@@ -103,6 +107,16 @@ def _histogram(u: int = 128, k: int = 20, seed: int = 5) -> WaveletHistogram:
     rng = np.random.default_rng(seed)
     dense = rng.poisson(12.0, u).astype(float)
     return WaveletHistogram.from_dense(dense, k)
+
+
+def _assert_same_sketch(copy: WaveletGcsSketch, sketch: WaveletGcsSketch) -> None:
+    for mine, theirs in zip(sketch.gcs.levels, copy.gcs.levels):
+        np.testing.assert_array_equal(theirs._table, mine._table)
+        np.testing.assert_array_equal(theirs._item_bucket, mine._item_bucket)
+    indices = range(1, sketch.u + 1)
+    assert [copy.estimate_coefficient(i) for i in indices] == [
+        sketch.estimate_coefficient(i) for i in indices]
+    assert copy.top_k(K) == sketch.top_k(K)
 
 
 # Worker task bodies must be module-level (the picklability contract).
@@ -163,6 +177,23 @@ class TestShipmentRoundTrip:
             # The coordinator's copy (and the shared pages) stay untouched.
             np.testing.assert_array_equal(left._table, original)
             del rebuilt
+            cache.close()
+        assert live_shipment_segments() == ()
+
+        # A shipped sketch carries only its counters and re-derives its hash
+        # family on load, so a process that has never built that family (an
+        # emptied cache) still rebuilds an identical sketch.
+        sketch = WaveletGcsSketch(u=1024, bytes_per_level=4096, seed=5)
+        sketch.update_frequency_vector(
+            {int(key): float(count) for key, count in
+             zip(rng.integers(1, 1025, size=300), rng.integers(1, 50, size=300))})
+        gcs_hash_family.cache_clear()
+        _assert_same_sketch(pickle.loads(pickle.dumps(sketch, protocol=5)), sketch)
+        with ShipmentArena() as arena:
+            cache = SegmentCache()
+            shipped = load_shipped(arena.ship({"sketch": sketch}), cache=cache)["sketch"]
+            _assert_same_sketch(shipped, sketch)
+            del shipped
             cache.close()
         assert live_shipment_segments() == ()
 
@@ -380,6 +411,27 @@ class TestMmapPayloads:
         assert np.shares_memory(indices, raw)
         assert np.shares_memory(values, raw)
         assert not indices.flags.writeable
+
+    def test_serving_bench_reports_only_its_own_counters(self, tmp_path):
+        # Regression: the report read the process-wide registry, so bytes an
+        # earlier pool run shipped showed up as the serving run's shipping.
+        executor = ParallelExecutor(max_workers=1)
+        try:
+            executor.run_tasks(TestSegmentLifecycle()._specs(count=1), slots=1)
+        finally:
+            executor.close()
+        metrics = get_telemetry().metrics
+        shipped = sum(entry["value"] for entry in metrics.snapshot()["counters"]
+                      if entry["name"] == "repro_task_ship_bytes_total")
+        assert shipped > 0
+        store = SynopsisStore(str(tmp_path))
+        metadata = store.save("orders", _histogram(), algorithm="Send-V")
+        served = store.load("orders", metadata.version)
+        report = measure_serving_throughput(
+            served, WorkloadGenerator(128).generate(64), latency_batch_size=0)
+        assert report.ship_bytes == {}
+        # The payload faults in (mmap'd) inside the measured call, once.
+        assert report.payload_mmap_total == 1
 
 
 # --------------------------------------------- from_arrays zero-copy adoption
