@@ -26,11 +26,18 @@ Round 3
     emit their not-yet-sent coefficients for candidates in ``R``; the reducer
     now knows each candidate's exact aggregate and returns the top-``k`` by
     magnitude.
+
+State between rounds is read-only numpy arrays (see
+:mod:`repro.mapreduce.state`): a split's unsent coefficients are
+``{"remaining": (indices, values)}`` in ascending index order, and the
+coordinator keeps its partial sums as ``(indices, values)`` in first-report
+order, which is the order the reducers fold them in.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from itertools import chain
+from typing import Any, Dict, Iterable, List, Set, Tuple
 
 import numpy as np
 
@@ -43,8 +50,12 @@ from repro.algorithms.base import (
     HistogramAlgorithm,
 )
 from repro.core.frequency import merge_key_counts
-from repro.core.haar import sparse_haar_transform
-from repro.core.topk_coefficients import bottom_k_items, top_k_coefficients, top_k_items
+from repro.core.haar import sparse_haar_arrays
+from repro.core.topk_coefficients import (
+    bottom_k_positions,
+    top_k_coefficients,
+    top_k_positions,
+)
 from repro.errors import TopKError
 from repro.mapreduce.api import BatchMapper, Mapper, MapperContext, Reducer, ReducerContext
 from repro.mapreduce.counters import CounterNames
@@ -61,6 +72,60 @@ SCORE_PAIR_BYTES = 16
 FLAG_NONE = 0
 FLAG_KTH_HIGHEST = 1
 FLAG_KTH_LOWEST = 2
+
+# A split's saved coefficients cost a 4-byte index and an 8-byte value each.
+REMAINING_PAIR_BYTES = 12
+
+Coefficients = Tuple[np.ndarray, np.ndarray]
+
+_NO_COEFFICIENTS: Coefficients = (np.empty(0, dtype=np.int64),
+                                  np.empty(0, dtype=np.float64))
+
+
+def _save_remaining(context: MapperContext, indices: np.ndarray,
+                    values: np.ndarray) -> None:
+    context.save_state({"remaining": (indices, values)},
+                       size_bytes=int(indices.size) * REMAINING_PAIR_BYTES)
+
+
+def _load_remaining(context: MapperContext) -> Coefficients:
+    state = context.load_state()
+    return _NO_COEFFICIENTS if state is None else state["remaining"]
+
+
+def _emit_scores(context: MapperContext, indices: np.ndarray,
+                 values: np.ndarray) -> None:
+    for index, value in zip(indices.tolist(), values.tolist()):
+        context.emit(index, (context.split_id, value), size_bytes=SCORE_PAIR_BYTES)
+
+
+def _coordinator_arrays(partial: Dict[int, float],
+                        reported: Dict[int, Set[int]]) -> Dict[str, Coefficients]:
+    """The coordinator's partial sums and reporting splits as arrays.
+
+    ``"partial"`` is ``(indices, values)`` in the dict's insertion order;
+    ``"reported"`` is ``(counts, split ids)``: per index of ``"partial"``, how
+    many splits reported it, then those splits' ids, ascending per index.
+    """
+    groups = [sorted(reported[index]) for index in partial]
+    counts = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    return {
+        "partial": (np.fromiter(partial.keys(), dtype=np.int64, count=len(partial)),
+                    np.fromiter(partial.values(), dtype=np.float64, count=len(partial))),
+        "reported": (counts, np.fromiter(chain.from_iterable(groups), dtype=np.int64,
+                                         count=int(counts.sum()))),
+    }
+
+
+def _coordinator_dicts(state: Dict[str, Any]) -> Tuple[Dict[int, float],
+                                                       Dict[int, Set[int]]]:
+    """The partial sums and reporting splits of :func:`_coordinator_arrays`."""
+    indices, values = state["partial"]
+    counts, split_ids = state["reported"]
+    index_list = indices.tolist()
+    groups = np.split(split_ids, np.cumsum(counts)[:-1])
+    return (dict(zip(index_list, values.tolist())),
+            {index: set(group.tolist()) for index, group in zip(index_list, groups)})
 
 
 # --------------------------------------------------------------------- Round 1
@@ -88,29 +153,29 @@ class Round1Mapper(BatchMapper):
 
     def close(self, context: MapperContext) -> None:
         log_u = max(1, self._u.bit_length() - 1)
-        coefficients = sparse_haar_transform(self._counts, self._u)
+        indices, values = sparse_haar_arrays(self._counts, self._u)
         context.counters.increment(
             CounterNames.WAVELET_TRANSFORM_OPS, len(self._counts) * (log_u + 1)
         )
-        top = top_k_items(coefficients, self._k)
-        bottom = bottom_k_items(coefficients, self._k)
-        kth_highest_index = top[-1][0] if len(top) == self._k else None
-        kth_lowest_index = bottom[-1][0] if len(bottom) == self._k else None
+        top = top_k_positions(indices, values, self._k)
+        bottom = bottom_k_positions(indices, values, self._k)
+        kth_highest_index = int(indices[top[-1]]) if top.size == self._k else None
+        kth_lowest_index = int(indices[bottom[-1]]) if bottom.size == self._k else None
 
-        emitted: Set[int] = set()
-        for index, value in dict(list(top) + list(bottom)).items():
+        # The top-k, then the bottom-k entries the top-k did not already hold.
+        emitted = np.concatenate((top, bottom[~np.isin(bottom, top)]))
+        for index, value in zip(indices[emitted].tolist(), values[emitted].tolist()):
             flag = FLAG_NONE
             if index == kth_highest_index:
                 flag = FLAG_KTH_HIGHEST
             elif index == kth_lowest_index:
                 flag = FLAG_KTH_LOWEST
-            context.emit(index, (context.split_id, float(value), flag),
+            context.emit(index, (context.split_id, value, flag),
                          size_bytes=SCORE_PAIR_BYTES)
-            emitted.add(index)
 
-        remaining = {i: w for i, w in coefficients.items() if i not in emitted}
-        context.save_state({"remaining": remaining},
-                           size_bytes=len(remaining) * 12)
+        unsent = np.ones(indices.size, dtype=bool)
+        unsent[emitted] = False
+        _save_remaining(context, indices[unsent], values[unsent])
 
 
 class Round1Reducer(Reducer):
@@ -157,13 +222,8 @@ class Round1Reducer(Reducer):
             taus.append(magnitude_lower_bound(tau_plus, tau_minus))
         t1 = kth_largest(taus, self._k)
 
-        context.save_state(
-            {
-                "partial": self._partial,
-                "reported": self._reported,
-                "t1": t1,
-            }
-        )
+        context.save_state({**_coordinator_arrays(self._partial, self._reported),
+                            "t1": t1})
         context.emit("T1", float(t1))
 
 
@@ -173,17 +233,10 @@ class Round2Mapper(Mapper):
 
     def close(self, context: MapperContext) -> None:
         threshold = float(context.configuration.require(CONF_T1_OVER_M))
-        state = context.load_state(default={"remaining": {}})
-        remaining: Dict[int, float] = dict(state.get("remaining", {}))
-        still_remaining: Dict[int, float] = {}
-        for index, value in remaining.items():
-            if abs(value) > threshold:
-                context.emit(index, (context.split_id, float(value)),
-                             size_bytes=SCORE_PAIR_BYTES)
-            else:
-                still_remaining[index] = value
-        context.save_state({"remaining": still_remaining},
-                           size_bytes=len(still_remaining) * 12)
+        indices, values = _load_remaining(context)
+        sent = np.abs(values) > threshold
+        _emit_scores(context, indices[sent], values[sent])
+        _save_remaining(context, indices[~sent], values[~sent])
 
 
 class Round2Reducer(Reducer):
@@ -195,8 +248,7 @@ class Round2Reducer(Reducer):
         state = context.load_state()
         if state is None:
             raise TopKError("H-WTopk round 2 reducer found no round-1 state")
-        self._partial: Dict[int, float] = dict(state["partial"])
-        self._reported: Dict[int, Set[int]] = {i: set(s) for i, s in state["reported"].items()}
+        self._partial, self._reported = _coordinator_dicts(state)
 
     def reduce(self, key: int, values: Iterable[Tuple[int, float]],
                context: ReducerContext) -> None:
@@ -224,13 +276,8 @@ class Round2Reducer(Reducer):
             for index, (tau_plus, tau_minus) in bounds.items()
             if max(abs(tau_plus), abs(tau_minus)) >= t2
         )
-        context.save_state(
-            {
-                "partial": self._partial,
-                "reported": self._reported,
-                "candidates": candidates,
-            }
-        )
+        context.save_state({**_coordinator_arrays(self._partial, self._reported),
+                            "candidates": np.asarray(candidates, dtype=np.int64)})
         context.emit("T2", float(t2))
         context.emit("R", tuple(candidates))
 
@@ -240,13 +287,11 @@ class Round3Mapper(Mapper):
     """Emits the not-yet-sent coefficients of the candidate set ``R``."""
 
     def close(self, context: MapperContext) -> None:
-        candidates: Set[int] = set(context.distributed_cache.get(CACHE_CANDIDATES))
-        state = context.load_state(default={"remaining": {}})
-        remaining: Dict[int, float] = dict(state.get("remaining", {}))
-        for index, value in remaining.items():
-            if index in candidates:
-                context.emit(index, (context.split_id, float(value)),
-                             size_bytes=SCORE_PAIR_BYTES)
+        candidates = np.asarray(context.distributed_cache.get(CACHE_CANDIDATES),
+                                dtype=np.int64)
+        indices, values = _load_remaining(context)
+        wanted = np.isin(indices, candidates)
+        _emit_scores(context, indices[wanted], values[wanted])
 
 
 class Round3Reducer(Reducer):
@@ -257,8 +302,8 @@ class Round3Reducer(Reducer):
         state = context.load_state()
         if state is None:
             raise TopKError("H-WTopk round 3 reducer found no round-2 state")
-        self._partial: Dict[int, float] = dict(state["partial"])
-        self._candidates: List[int] = list(state["candidates"])
+        self._partial, _ = _coordinator_dicts(state)
+        self._candidates: List[int] = state["candidates"].tolist()
 
     def reduce(self, key: int, values: Iterable[Tuple[int, float]],
                context: ReducerContext) -> None:

@@ -296,12 +296,25 @@ def sparse_haar_arrays(counts: Mapping[int, float], u: int) -> Tuple[np.ndarray,
 
     flat_indices = indices.ravel()
     flat_contributions = contributions.ravel()
-    order = np.argsort(flat_indices, kind="stable")
+    order = _grouping_order(flat_indices, u)
     sorted_indices = flat_indices[order]
     sorted_contributions = flat_contributions[order]
     boundaries = np.flatnonzero(np.diff(sorted_indices)) + 1
     starts = np.concatenate(([0], boundaries))
     return sorted_indices[starts], np.add.reduceat(sorted_contributions, starts)
+
+
+def _grouping_order(flat_indices: np.ndarray, u: int) -> np.ndarray:
+    """The stable ascending order of 1-based coefficient indices in ``[1, u]``.
+
+    For ``u <= 2**16`` the indices minus one fit in 16 bits, and numpy's
+    stable sort of 16-bit integers is a radix sort, several times faster than
+    the int64 merge sort.  A stable order of the same keys is unique, so both
+    branches return the same permutation.
+    """
+    if u <= 1 << 16:
+        return np.argsort((flat_indices - 1).astype(np.uint16), kind="stable")
+    return np.argsort(flat_indices, kind="stable")
 
 
 def sparse_inverse_contribution(coefficients: Mapping[int, float], key: int, u: int) -> float:

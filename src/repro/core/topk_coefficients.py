@@ -29,7 +29,9 @@ __all__ = [
     "top_k_coefficients",
     "top_k_from_dense",
     "bottom_k_items",
+    "bottom_k_positions",
     "top_k_items",
+    "top_k_positions",
 ]
 
 
@@ -104,6 +106,25 @@ def top_k_from_dense(w: np.ndarray | Iterable[float], k: int) -> Dict[int, float
     return {int(nonzero[i]) + 1: float(arr[nonzero[i]]) for i in order}
 
 
+def top_k_positions(indices: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` largest (signed) scores, ordered descending.
+
+    ``indices`` and ``values`` are aligned arrays of distinct item indices and
+    their scores; score ties go to the smaller index.
+    """
+    _validate_k(k)
+    return np.lexsort((indices, -values))[:k]
+
+
+def bottom_k_positions(indices: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` smallest (most negative) scores, ordered ascending.
+
+    Score ties go to the smaller index.
+    """
+    _validate_k(k)
+    return np.lexsort((indices, values))[:k]
+
+
 def top_k_items(scores: Mapping[int, float], k: int) -> Tuple[Tuple[int, float], ...]:
     """Return the ``k`` items of largest (signed) score, ordered descending.
 
@@ -115,7 +136,7 @@ def top_k_items(scores: Mapping[int, float], k: int) -> Tuple[Tuple[int, float],
     if not scores:
         return ()
     indices, values = _items_as_arrays(scores)
-    order = np.lexsort((indices, -values))[:k]
+    order = top_k_positions(indices, values, k)
     return tuple((int(indices[i]), float(values[i])) for i in order)
 
 
@@ -128,5 +149,5 @@ def bottom_k_items(scores: Mapping[int, float], k: int) -> Tuple[Tuple[int, floa
     if not scores:
         return ()
     indices, values = _items_as_arrays(scores)
-    order = np.lexsort((indices, values))[:k]
+    order = bottom_k_positions(indices, values, k)
     return tuple((int(indices[i]), float(values[i])) for i in order)

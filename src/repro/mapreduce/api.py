@@ -10,7 +10,8 @@ Contexts expose the pieces of Hadoop the paper relies on:
 * ``emit`` — produce an intermediate or final key/value pair, with byte
   accounting;
 * ``configuration`` and ``distributed_cache`` — the side channels;
-* ``save_state`` / ``load_state`` — per-split persistent state across rounds;
+* ``save_state`` / ``load_state`` — per-split persistent state across rounds
+  (immutable payloads whose arrays are frozen; see :mod:`repro.mapreduce.state`);
 * ``counters`` — CPU-work accounting for the cost model;
 * ``rng`` — a deterministic per-task random generator.
 

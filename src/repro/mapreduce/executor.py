@@ -85,7 +85,7 @@ from repro.mapreduce.serialization import (
     load_shipped,
     pickled_task_bytes,
 )
-from repro.mapreduce.state import StateStore
+from repro.mapreduce.state import StateStore, freeze
 from repro.telemetry import get_telemetry
 from repro.telemetry.metrics import MetricsDelta
 
@@ -147,14 +147,16 @@ class _TaskStateStore(StateStore):
     real store at the phase barrier.  A later read observes an earlier write by
     the same task, matching the read-your-writes behaviour of the shared store.
     Inherits all byte accounting from :class:`StateStore` so the charging rules
-    cannot drift between executors and the shared store.
+    cannot drift between executors and the shared store.  Snapshot arrays are
+    frozen on arrival, so loaded state is read-only whether the spec came by
+    reference, through shared memory or through an in-band pickle.
     """
 
     def __init__(self, snapshot: Dict[StateKey, Any],
                  serialization: SerializationModel) -> None:
         super().__init__(serialization)
         for (kind, identifier), payload in snapshot.items():
-            self._blobs[(kind, identifier)] = payload
+            self._blobs[(kind, identifier)] = freeze(payload)
         self.saves: List[StateSave] = []
 
     def save(self, kind: str, identifier: int, payload: Any,

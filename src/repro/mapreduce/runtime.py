@@ -50,7 +50,6 @@ coordinator-to-mapper communication.
 
 from __future__ import annotations
 
-import copy
 import logging
 import time
 from dataclasses import dataclass, field
@@ -359,16 +358,15 @@ class JobRunner:
         )
 
     def _state_snapshot(self, kind: str, identifier: int) -> Dict[Tuple[str, int], Any]:
-        """Deep-copied state blob for one task (empty mapping when absent).
+        """The state blob one task may read, by reference (empty mapping when absent).
 
-        The copy makes serial semantics identical to parallel semantics: a task
-        that mutates a loaded payload in place without re-saving it mutates a
-        private copy under *both* executors, instead of silently leaking the
-        mutation into the shared store when tasks happen to run in-process.
+        No copy is made: payloads are immutable and their arrays were frozen
+        when saved (see :mod:`repro.mapreduce.state`), so a serial task that
+        writes into loaded state raises exactly as a parallel task does.
         """
         if not self._state_store.exists(kind, identifier):
             return {}
-        return {(kind, identifier): copy.deepcopy(self._state_store.peek(kind, identifier))}
+        return {(kind, identifier): self._state_store.peek(kind, identifier)}
 
     # ---------------------------------------------------------- phase barriers
     def _merge_task_results(self, results: List[TaskResult], counters: Counters) -> None:
@@ -383,9 +381,7 @@ class JobRunner:
             for name, value in result.counters:
                 counters.increment(name, value)
             for kind, identifier, payload, size_bytes in result.state_saves:
-                # Copy for the same reason _state_snapshot does: the store must
-                # not alias objects a serial task keeps mutating after save.
-                self._state_store.save(kind, identifier, copy.deepcopy(payload),
+                self._state_store.save(kind, identifier, payload,
                                        size_bytes=size_bytes)
             self._state_store.bytes_read += result.state_bytes_read
             if result.metrics is not None:

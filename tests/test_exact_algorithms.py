@@ -175,6 +175,33 @@ class TestHWTopk:
             result = HWTopk(dataset.u, k).run(hdfs, "/data/input", cluster=cluster)
             _assert_same_topk(result.histogram.coefficients, expected)
 
+    def test_state_is_read_only_arrays(self, exact_setup):
+        """Split and coordinator state are frozen arrays."""
+        import numpy as np
+
+        from repro.mapreduce.plan import execute_plan
+        from repro.mapreduce.runtime import JobRunner
+
+        dataset, hdfs, cluster, _, _ = exact_setup
+        runner = JobRunner(hdfs, cluster=cluster)
+        algorithm = HWTopk(dataset.u, K)
+        outcome = execute_plan(algorithm.create_plan("/data/input"), runner)
+        store = runner.state_store
+        threshold = outcome.details["T1"] / outcome.details["num_splits"]
+        for split_id in range(outcome.details["num_splits"]):
+            indices, values = store.peek("split", split_id)["remaining"]
+            assert indices.dtype == np.int64 and values.dtype == np.float64
+            assert not indices.flags.writeable and not values.flags.writeable
+            assert np.all(np.diff(indices) > 0)
+            assert np.all(np.abs(values) <= threshold)  # round 2 sent the rest
+        coordinator = store.peek("reducer", 0)
+        counts, split_ids = coordinator["reported"]
+        partial_indices, _ = coordinator["partial"]
+        assert counts.size == partial_indices.size and counts.sum() == split_ids.size
+        assert coordinator["candidates"].size == outcome.details["candidate_set_size"]
+        assert not any(array.flags.writeable for array in (counts, split_ids,
+                                                           coordinator["candidates"]))
+
     def test_single_split_dataset(self):
         """Degenerate m=1 case: everything happens on one mapper."""
         from repro.data.generators import ZipfDatasetGenerator

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import haar
 from repro.core.haar import (
     basis_value,
     coefficient_level,
@@ -17,6 +18,7 @@ from repro.core.haar import (
     energy,
     haar_transform,
     inverse_haar_transform,
+    sparse_haar_arrays,
     sparse_haar_transform,
     sparse_inverse_contribution,
     validate_domain,
@@ -167,6 +169,30 @@ class TestSparseHaarTransform:
             assert sparse_inverse_contribution(coefficients, key, u) == pytest.approx(
                 reconstructed[key - 1], abs=1e-9
             )
+
+
+class TestRadixGrouping:
+    """The 16-bit radix sort path agrees with the int64 stable sort at its edge."""
+
+    @pytest.mark.parametrize("u", [2 ** 16, 2 ** 17])
+    def test_grouping_order_equals_the_int64_stable_order(self, u):
+        rng = np.random.default_rng(u)
+        flat = np.concatenate(([u, 1, u, 2 ** 16, 1], rng.integers(1, u + 1, size=20_000)))
+        np.testing.assert_array_equal(haar._grouping_order(flat, u),
+                                      np.argsort(flat, kind="stable"))
+
+    @pytest.mark.parametrize("u", [2 ** 16, 2 ** 17])
+    def test_transform_is_bit_identical_to_the_int64_sort(self, u, monkeypatch):
+        rng = np.random.default_rng(u + 1)
+        keys = np.concatenate(([1, u // 2, u - 1, u], rng.integers(1, u + 1, size=2_000)))
+        counts = {int(key): float(rng.integers(1, 50)) for key in keys}
+        indices, values = sparse_haar_arrays(counts, u)
+        assert indices[-1] == u  # the last coefficient, index 65536 at u = 2**16
+        monkeypatch.setattr(haar, "_grouping_order",
+                            lambda flat, _u: np.argsort(flat, kind="stable"))
+        reference_indices, reference_values = sparse_haar_arrays(counts, u)
+        np.testing.assert_array_equal(indices, reference_indices)
+        assert values.tobytes() == reference_values.tobytes()
 
 
 # ------------------------------------------------------------- basis structure

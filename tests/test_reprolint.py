@@ -356,9 +356,10 @@ class TestHotPathCopyRule:
 
     def test_cold_modules_are_out_of_scope(self, tmp_path):
         write_module(tmp_path, "src/repro/experiments/figures.py", """
+            import copy
             import numpy as np
             def plot(xs):
-                return np.array(xs).copy().tobytes()
+                return np.array(copy.deepcopy(xs)).copy().tobytes()
         """)
         result = lint_paths([tmp_path / "src"], ["hot-path-copy"])
         assert result.findings == []
@@ -371,6 +372,36 @@ class TestHotPathCopyRule:
         result = lint_paths([tmp_path / "src"], ["hot-path-copy"])
         assert result.findings == []
         assert len(result.suppressed) == 1
+
+    def test_deepcopy_in_runtime_and_state_is_flagged(self, tmp_path):
+        write_module(tmp_path, "src/repro/mapreduce/runtime.py", """
+            import copy
+            def snapshot(store, key):
+                return copy.deepcopy(store.peek(*key))
+        """)
+        write_module(tmp_path, "src/repro/mapreduce/state.py", """
+            from copy import deepcopy
+            def save(blobs, key, payload):
+                blobs[key] = deepcopy(payload)
+        """)
+        result = lint_paths([tmp_path / "src"], ["hot-path-copy"])
+        assert sorted(Path(f.path).name for f in result.findings) == [
+            "runtime.py", "state.py"]
+        assert all("deepcopy" in f.message for f in result.findings)
+
+    def test_state_passed_by_reference_is_clean(self, tmp_path):
+        write_module(tmp_path, "src/repro/mapreduce/runtime.py", """
+            def snapshot(store, key):
+                return {key: store.peek(*key)}
+        """)
+        write_module(tmp_path, "src/repro/mapreduce/state.py", """
+            import numpy as np
+            def freeze(array):
+                array.flags.writeable = False
+                return np.asarray(array)
+        """)
+        result = lint_paths([tmp_path / "src"], ["hot-path-copy"])
+        assert result.findings == []
 
 
 class TestSuppressionPragmas:
