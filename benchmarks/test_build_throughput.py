@@ -39,15 +39,14 @@ def test_build_throughput(experiment_config):
     config = ExperimentConfig.quick() if quick_scale else experiment_config
     dataset = config.build_dataset()
     cluster = config.build_cluster(dataset)
-    executor = config.build_executor()
+    profile = config.build_profile(cluster)
     hdfs = HDFS(datanodes=[machine.name for machine in cluster.machines])
     dataset.to_hdfs(hdfs, INPUT_PATH)
 
     def build(data_plane):
         start = time.perf_counter()
         result = SendV(config.u, config.k).run(
-            hdfs, INPUT_PATH, cluster=cluster, seed=config.seed,
-            executor=executor, data_plane=data_plane,
+            hdfs, INPUT_PATH, profile=profile.with_overrides(data_plane=data_plane),
         )
         return result, time.perf_counter() - start
 

@@ -21,6 +21,7 @@ from repro.algorithms import HWTopk, SendV
 from repro.experiments.config import ExperimentConfig
 from repro.mapreduce.executor import ParallelExecutor, SerialExecutor
 from repro.mapreduce.hdfs import HDFS
+from repro.service import RuntimeProfile
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -32,7 +33,8 @@ def _timed_run(algorithms, dataset, cluster, executor):
     dataset.to_hdfs(hdfs, "/data/input")
     started = time.perf_counter()
     results = [
-        algorithm.run(hdfs, "/data/input", cluster=cluster, seed=7, executor=executor)
+        algorithm.run(hdfs, "/data/input",
+                      profile=RuntimeProfile(cluster=cluster, seed=7, executor=executor))
         for algorithm in algorithms
     ]
     return time.perf_counter() - started, results

@@ -72,9 +72,8 @@ def test_multijob_throughput():
         sequential_s = time.perf_counter() - started
 
         started = time.perf_counter()
-        concurrent = run_algorithms(dataset, _suite(config),
-                                    reference=reference, profile=profile,
-                                    concurrent_jobs=7)
+        concurrent = run_algorithms(dataset, _suite(config), reference=reference,
+                                    profile=profile.with_overrides(concurrent_jobs=7))
         concurrent_s = time.perf_counter() - started
     finally:
         executor.close()

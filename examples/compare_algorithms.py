@@ -35,9 +35,9 @@ def main() -> None:
     print(f"times are simulated against the paper's 16-node cluster "
           f"(scale factor {config.scale_factor(dataset):.0f}x)\n")
 
-    measurements = run_algorithms(dataset, standard_algorithms(config), cluster,
+    measurements = run_algorithms(dataset, standard_algorithms(config),
                                   reference=reference,
-                                  profile=config.build_profile())
+                                  profile=config.build_profile(cluster))
     print(f"{'algorithm':<12} {'rounds':>6} {'comm (bytes)':>14} {'time (s)':>12} "
           f"{'SSE':>12} {'SSE/ideal':>10}")
     for measurement in measurements:

@@ -3,38 +3,23 @@
 from __future__ import annotations
 
 import math
-import warnings
-from abc import ABC
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.core.histogram import WaveletHistogram
 from repro.cost.model import CostModel
-from repro.errors import InvalidParameterError, PlanError
-from repro.mapreduce.cluster import ClusterSpec
+from repro.errors import InvalidParameterError
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.plan import JobPlan, execute_plan
 from repro.mapreduce.runtime import JobResult, JobRunner
-from repro.mapreduce.state import StateStore
 from repro.service.profile import RuntimeProfile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.store import SynopsisStore
 
 __all__ = ["AlgorithmResult", "HistogramAlgorithm"]
-
-# Sentinel distinguishing "caller never passed this" from an explicit None in
-# the deprecated kwarg shim of :meth:`HistogramAlgorithm.run`.
-_UNSET: Any = object()
-
-_RUN_KWARGS_DEPRECATION = (
-    "HistogramAlgorithm.run's loose keyword arguments (cluster=, "
-    "cost_parameters=, seed=, executor=, data_plane=, store=, store_name=) "
-    "are deprecated: pass a repro.service.RuntimeProfile via profile=..., "
-    "and persist builds through repro.service.SynopsisService (results are "
-    "bit-identical either way)"
-)
 
 # Job Configuration keys shared by all algorithms.
 CONF_DOMAIN = "wavelet.domain.u"
@@ -84,11 +69,10 @@ class AlgorithmResult:
                 extra_build: Optional[Dict[str, Any]] = None):
         """Persist the histogram to ``store`` with this run's provenance.
 
-        The single publish path shared by :meth:`HistogramAlgorithm.run`'s
-        deprecated ``store=`` shim and the service façade, so the stored
-        build metadata cannot drift between entry points.  Records the entry
-        under ``details["store_entry"]`` and returns the new version's
-        metadata.
+        The single publish path of the service façade's ``build`` and
+        ``build_many``, so the stored build metadata cannot drift between
+        entry points.  Records the entry under ``details["store_entry"]`` and
+        returns the new version's metadata.
 
         Args:
             store: the catalog to publish into.
@@ -125,11 +109,11 @@ class HistogramAlgorithm(ABC):
     Subclasses set :attr:`name` and implement :meth:`create_plan`, which
     declares the algorithm's MapReduce rounds as a
     :class:`~repro.mapreduce.plan.JobPlan` — a DAG of stages plus a
-    driver-finish step.  The shared :meth:`run` driver wires up the runner,
-    executes the plan sequentially, and assembles the result; the cluster
-    scheduler executes the *same* plan concurrently with other jobs.
-    Out-of-tree algorithms may instead override :meth:`_execute` directly
-    (the pre-plan hook), at the price of not being schedulable concurrently.
+    driver-finish step.  The shared :meth:`run` driver executes that plan
+    sequentially on a runner built from a
+    :class:`~repro.service.profile.RuntimeProfile` and assembles the result;
+    the cluster scheduler executes the *same* plan concurrently with other
+    jobs.
     """
 
     name: str = "abstract"
@@ -141,87 +125,31 @@ class HistogramAlgorithm(ABC):
         self.k = k
 
     # ------------------------------------------------------------------ hooks
+    @abstractmethod
     def create_plan(self, input_path: str) -> JobPlan:
-        """Declare the algorithm's rounds as a :class:`JobPlan` over ``input_path``.
-
-        All seven shipped algorithms implement this; the default raises so
-        legacy subclasses that only override :meth:`_execute` keep working on
-        the sequential path (and fail with a clear message if handed to the
-        cluster scheduler).
-        """
-        raise PlanError(
-            f"{type(self).__name__} does not declare a JobPlan; override "
-            f"create_plan() to make it schedulable, or run it sequentially "
-            f"(concurrent_jobs=1)"
-        )
-
-    def _execute(self, runner: JobRunner, input_path: str) -> "ExecutionOutcome":
-        """Run the algorithm's MapReduce rounds and return coefficients + rounds.
-
-        The default executes :meth:`create_plan`'s stages sequentially through
-        the runner — the reference path the scheduler's concurrent execution
-        is bit-identical to.
-        """
-        return execute_plan(self.create_plan(input_path), runner)
+        """Declare the algorithm's rounds as a :class:`JobPlan` over ``input_path``."""
 
     # ----------------------------------------------------------------- driver
-    def run(
-        self,
-        hdfs: HDFS,
-        input_path: str,
-        profile: Optional[RuntimeProfile] = None,
-        cost_parameters: Any = _UNSET,
-        seed: Any = _UNSET,
-        executor: Any = _UNSET,
-        data_plane: Any = _UNSET,
-        store: Any = _UNSET,
-        store_name: Any = _UNSET,
-        *,
-        cluster: Any = _UNSET,
-    ) -> AlgorithmResult:
+    def run(self, hdfs: HDFS, input_path: str, *,
+            profile: Optional[RuntimeProfile] = None) -> AlgorithmResult:
         """Execute the algorithm against a file already stored in the simulated HDFS.
 
         Args:
             hdfs: the simulated file system holding the input.
             input_path: path of the input file.
-            profile: a :class:`~repro.service.profile.RuntimeProfile` bundling
-                cluster, cost parameters, seed, executor spec and data plane.
-                The default profile runs on the paper's 16-node cluster with
-                the serial executor and the batch data plane, seed 7.
+            profile: how to run: a :class:`~repro.service.profile.RuntimeProfile`
+                bundling cluster, cost parameters, seed, executor spec and data
+                plane.  The default profile runs on the paper's 16-node cluster
+                with the serial executor and the batch data plane, seed 7.
 
-        Deprecated args (the pre-profile kwarg surface — every one of these,
-        positionally or by keyword, emits a single :class:`DeprecationWarning`
-        and is folded into an equivalent profile, so both spellings are
-        bit-identical):
-
-            cluster: cluster description.
-            cost_parameters: per-operation cost constants for the time model.
-            seed: seed for all randomised components.
-            executor: task executor for the MapReduce phases.
-            data_plane: ``"batch"`` or ``"records"``.
-            store: persist the built histogram to this
-                :class:`~repro.serving.store.SynopsisStore` (new code builds
-                through :class:`~repro.service.facade.SynopsisService`
-                instead).  The stored entry is reported under
-                ``details["store_entry"]``.
-            store_name: catalog name to persist under; defaults to the
-                algorithm name.
+        To store the result, build through
+        :meth:`~repro.service.facade.SynopsisService.build` or call
+        :meth:`AlgorithmResult.publish`.
         """
-        profile, store_value, store_name_value = self._resolve_run_arguments(
-            profile, cluster, cost_parameters, seed, executor, data_plane,
-            store, store_name,
-        )
-        cluster_spec = profile.resolved_cluster()
-        runner = JobRunner(hdfs, cluster=cluster_spec, state_store=StateStore(),
-                           seed=profile.seed, executor=profile.build_executor(),
-                           data_plane=profile.data_plane,
-                           zero_copy=profile.zero_copy,
-                           telemetry=profile.telemetry)
-        outcome = self._execute(runner, input_path)
-        result = self.assemble_result(outcome, profile)
-        if store_value is not None:
-            result.publish(store_value, name=store_name_value, seed=profile.seed)
-        return result
+        profile = profile if profile is not None else RuntimeProfile()
+        runner = JobRunner.from_profile(hdfs, profile)
+        outcome = execute_plan(self.create_plan(input_path), runner)
+        return self.assemble_result(outcome, profile)
 
     def assemble_result(self, outcome: "ExecutionOutcome",
                         profile: RuntimeProfile) -> AlgorithmResult:
@@ -247,58 +175,6 @@ class HistogramAlgorithm(ABC):
             counters=counters,
             details=outcome.details,
         )
-
-    @staticmethod
-    def _resolve_run_arguments(
-        profile: Any,
-        cluster: Any,
-        cost_parameters: Any,
-        seed: Any,
-        executor: Any,
-        data_plane: Any,
-        store: Any,
-        store_name: Any,
-    ) -> "tuple[RuntimeProfile, Optional[SynopsisStore], Optional[str]]":
-        """Fold the deprecated kwarg surface into one RuntimeProfile.
-
-        The third positional of the old signature was ``cluster``; a non-profile
-        value in the ``profile`` slot is therefore treated as a positional
-        legacy cluster.  Any legacy argument — runtime or persistence — emits
-        exactly one DeprecationWarning per call.
-        """
-        legacy: Dict[str, Any] = {}
-        if profile is not None and not isinstance(profile, RuntimeProfile):
-            if not isinstance(profile, ClusterSpec):
-                raise InvalidParameterError(
-                    f"run() expected a RuntimeProfile (or a legacy ClusterSpec), "
-                    f"got {type(profile).__name__}"
-                )
-            legacy["cluster"] = profile
-            profile = None
-        if cluster is not _UNSET and cluster is not None:
-            if "cluster" in legacy:
-                raise InvalidParameterError(
-                    "cluster passed both positionally and by keyword"
-                )
-            legacy["cluster"] = cluster
-        for key, value in (("cost_parameters", cost_parameters), ("seed", seed),
-                           ("executor", executor), ("data_plane", data_plane)):
-            if value is not _UNSET and value is not None:
-                legacy[key] = value
-        store_value = store if store is not _UNSET else None
-        store_name_value = store_name if store_name is not _UNSET else None
-
-        if legacy or store is not _UNSET or store_name is not _UNSET:
-            warnings.warn(_RUN_KWARGS_DEPRECATION, DeprecationWarning, stacklevel=3)
-        if legacy:
-            if profile is not None:
-                raise InvalidParameterError(
-                    "pass either profile= or the deprecated loose kwargs, not both"
-                )
-            profile = RuntimeProfile(**legacy)
-        elif profile is None:
-            profile = RuntimeProfile()
-        return profile, store_value, store_name_value
 
     # ------------------------------------------------------------- utilities
     @staticmethod

@@ -454,9 +454,9 @@ def _run_compare(arguments: argparse.Namespace) -> List[str]:
     cluster = config.build_cluster(dataset)
     reference = dataset.frequency_vector()
     ideal_sse = WaveletHistogram.from_frequency_vector(reference, config.k).sse(reference)
-    measurements = run_algorithms(dataset, standard_algorithms(config), cluster,
+    measurements = run_algorithms(dataset, standard_algorithms(config),
                                   reference=reference,
-                                  profile=config.build_profile())
+                                  profile=config.build_profile(cluster))
     lines = [
         f"workload: n={dataset.n} u=2^{config.u.bit_length() - 1} alpha={config.alpha} "
         f"k={config.k} eps={config.epsilon} (~{config.target_splits} splits, "

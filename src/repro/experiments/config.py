@@ -29,12 +29,7 @@ from repro.data.generators import ZipfDatasetGenerator
 from repro.data.worldcup import WorldCupLikeGenerator
 from repro.errors import InvalidParameterError
 from repro.mapreduce.cluster import ClusterSpec, MachineSpec, paper_cluster
-from repro.mapreduce.executor import (
-    DATA_PLANE_NAMES,
-    EXECUTOR_NAMES,
-    Executor,
-    shared_executor,
-)
+from repro.mapreduce.executor import DATA_PLANE_NAMES, EXECUTOR_NAMES
 from repro.service.profile import RuntimeProfile
 from repro.serving.store import SynopsisStore
 from repro.serving.workload import MIX_NAMES, QueryWorkload, WorkloadGenerator
@@ -147,16 +142,6 @@ class ExperimentConfig:
             raise InvalidParameterError("num_queries must be positive")
         if self.query_cache_size < 0:
             raise InvalidParameterError("query_cache_size must be >= 0")
-
-    def build_executor(self) -> Executor:
-        """Return the (process-wide shared) executor this configuration selects.
-
-        Sharing means sweeps reuse one worker pool instead of forking a fresh
-        pool per figure point.
-        """
-        return shared_executor(self.executor, self.workers,
-                               fault_rate=self.fault_rate,
-                               fault_seed=self.fault_seed)
 
     def build_profile(self, cluster: Optional[ClusterSpec] = None) -> RuntimeProfile:
         """The :class:`~repro.service.profile.RuntimeProfile` this configuration selects.

@@ -98,8 +98,8 @@ def vary_k(config: Optional[ExperimentConfig] = None,
     for k in ks:
         cluster = config.build_cluster(dataset)
         measurements = run_algorithms(
-            dataset, standard_algorithms(config, k=k), cluster, reference=reference,
-            profile=config.build_profile()
+            dataset, standard_algorithms(config, k=k), reference=reference,
+            profile=config.build_profile(cluster)
         )
         _add_measurements(table, k, measurements)
     return table
@@ -115,23 +115,23 @@ def vary_epsilon(config: Optional[ExperimentConfig] = None,
     config = _config(config)
     dataset = config.build_dataset()
     reference = dataset.frequency_vector()
-    cluster = config.build_cluster(dataset)
+    profile = config.build_profile(config.build_cluster(dataset))
     table = FigureTable(
         figure="Figures 7-8",
         title="vary eps: SSE, communication and running time of the sampling methods",
         columns=COST_COLUMNS,
         notes=[_scale_note(config, dataset)],
     )
-    ideal = run_algorithms(dataset, [HWTopk(config.u, config.k)], cluster,
-                           reference=reference, profile=config.build_profile())
+    ideal = run_algorithms(dataset, [HWTopk(config.u, config.k)],
+                           reference=reference, profile=profile)
     _add_measurements(table, "exact", ideal)
     for epsilon in epsilons:
         algorithms = [
             ImprovedSampling(config.u, config.k, epsilon=epsilon),
             TwoLevelSampling(config.u, config.k, epsilon=epsilon),
         ]
-        measurements = run_algorithms(dataset, algorithms, cluster,
-                                      reference=reference, profile=config.build_profile())
+        measurements = run_algorithms(dataset, algorithms,
+                                      reference=reference, profile=profile)
         _add_measurements(table, epsilon, measurements)
     return table
 
@@ -151,7 +151,7 @@ def sse_tradeoff(config: Optional[ExperimentConfig] = None,
     config = _config(config)
     data = dataset if dataset is not None else config.build_dataset()
     reference = data.frequency_vector()
-    cluster = config.build_cluster(data)
+    profile = config.build_profile(config.build_cluster(data))
     table = FigureTable(
         figure=figure,
         title="SSE versus communication and running time (approximation methods)",
@@ -163,16 +163,16 @@ def sse_tradeoff(config: Optional[ExperimentConfig] = None,
             ImprovedSampling(data.u, config.k, epsilon=epsilon),
             TwoLevelSampling(data.u, config.k, epsilon=epsilon),
         ]
-        for measurement in run_algorithms(data, algorithms, cluster,
-                                          reference=reference, profile=config.build_profile()):
+        for measurement in run_algorithms(data, algorithms,
+                                          reference=reference, profile=profile):
             table.add_row(algorithm=measurement.algorithm, setting=f"eps={epsilon}",
                           sse=measurement.sse,
                           communication_bytes=measurement.communication_bytes,
                           time_s=measurement.simulated_time_s)
     for budget in sketch_bytes:
         algorithm = SendSketch(data.u, config.k, bytes_per_level=budget)
-        for measurement in run_algorithms(data, [algorithm], cluster,
-                                          reference=reference, profile=config.build_profile()):
+        for measurement in run_algorithms(data, [algorithm],
+                                          reference=reference, profile=profile):
             table.add_row(algorithm=measurement.algorithm, setting=f"sketch={budget}B/level",
                           sse=measurement.sse,
                           communication_bytes=measurement.communication_bytes,
@@ -207,8 +207,8 @@ def vary_n(config: Optional[ExperimentConfig] = None,
         reference = dataset.frequency_vector()
         cluster = sweep_config.build_cluster(dataset, scale=anchor_scale)
         cluster = cluster.with_split_size(fixed_split_size)
-        measurements = run_algorithms(dataset, standard_algorithms(sweep_config), cluster,
-                                      reference=reference, profile=config.build_profile())
+        measurements = run_algorithms(dataset, standard_algorithms(sweep_config),
+                                      reference=reference, profile=config.build_profile(cluster))
         _add_measurements(table, n, measurements)
     return table
 
@@ -244,8 +244,8 @@ def vary_record_size(config: Optional[ExperimentConfig] = None,
         reference = dataset.frequency_vector()
         cluster = sweep_config.build_cluster(dataset, scale=anchor_scale)
         cluster = cluster.with_split_size(fixed_split_size)
-        measurements = run_algorithms(dataset, standard_algorithms(sweep_config), cluster,
-                                      reference=reference, profile=config.build_profile())
+        measurements = run_algorithms(dataset, standard_algorithms(sweep_config),
+                                      reference=reference, profile=config.build_profile(cluster))
         _add_measurements(table, record_size, measurements)
     if not table.notes:
         table.notes.append(
@@ -274,8 +274,8 @@ def vary_domain(config: Optional[ExperimentConfig] = None,
         reference = dataset.frequency_vector()
         cluster = sweep_config.build_cluster(dataset)
         algorithms = standard_algorithms(sweep_config) + [SendCoef(u, sweep_config.k)]
-        measurements = run_algorithms(dataset, algorithms, cluster,
-                                      reference=reference, profile=config.build_profile())
+        measurements = run_algorithms(dataset, algorithms,
+                                      reference=reference, profile=config.build_profile(cluster))
         _add_measurements(table, log2_u, measurements)
     return table
 
@@ -300,8 +300,8 @@ def vary_split_size(config: Optional[ExperimentConfig] = None,
     for split_count in split_counts:
         sweep_config = config.with_overrides(target_splits=split_count)
         cluster = sweep_config.build_cluster(dataset)
-        measurements = run_algorithms(dataset, standard_algorithms(sweep_config), cluster,
-                                      reference=reference, profile=config.build_profile())
+        measurements = run_algorithms(dataset, standard_algorithms(sweep_config),
+                                      reference=reference, profile=config.build_profile(cluster))
         _add_measurements(table, sweep_config.split_size_bytes(dataset), measurements)
     return table
 
@@ -321,8 +321,8 @@ def vary_skew(config: Optional[ExperimentConfig] = None,
         dataset = sweep_config.build_dataset()
         reference = dataset.frequency_vector()
         cluster = sweep_config.build_cluster(dataset)
-        measurements = run_algorithms(dataset, standard_algorithms(sweep_config), cluster,
-                                      reference=reference, profile=config.build_profile())
+        measurements = run_algorithms(dataset, standard_algorithms(sweep_config),
+                                      reference=reference, profile=config.build_profile(cluster))
         _add_measurements(table, alpha, measurements)
         if not table.notes:
             table.notes.append(_scale_note(sweep_config, dataset))
@@ -344,8 +344,8 @@ def vary_bandwidth(config: Optional[ExperimentConfig] = None,
     )
     for fraction in fractions:
         cluster = config.build_cluster(dataset, bandwidth_fraction=fraction)
-        measurements = run_algorithms(dataset, standard_algorithms(config), cluster,
-                                      reference=reference, profile=config.build_profile())
+        measurements = run_algorithms(dataset, standard_algorithms(config),
+                                      reference=reference, profile=config.build_profile(cluster))
         _add_measurements(table, fraction, measurements)
     return table
 
@@ -367,8 +367,8 @@ def worldcup_costs(config: Optional[ExperimentConfig] = None) -> FigureTable:
             _scale_note(config, dataset),
         ],
     )
-    measurements = run_algorithms(dataset, standard_algorithms(config), cluster,
-                                  reference=reference, profile=config.build_profile())
+    measurements = run_algorithms(dataset, standard_algorithms(config),
+                                  reference=reference, profile=config.build_profile(cluster))
     _add_measurements(table, "worldcup", measurements)
     return table
 
@@ -443,8 +443,8 @@ def ablation_combiner(config: Optional[ExperimentConfig] = None) -> FigureTable:
         columns=["variant", "communication_bytes", "time_s", "sse"],
         notes=[_scale_note(config, dataset)],
     )
-    measurements = run_algorithms(dataset, algorithms, cluster,
-                                  reference=reference, profile=config.build_profile())
+    measurements = run_algorithms(dataset, algorithms,
+                                  reference=reference, profile=config.build_profile(cluster))
     for label, measurement in zip(labels, measurements):
         table.add_row(variant=label,
                       communication_bytes=measurement.communication_bytes,
@@ -509,7 +509,7 @@ def ablation_twolevel_threshold(config: Optional[ExperimentConfig] = None,
     config = _config(config)
     dataset = config.build_dataset()
     reference = dataset.frequency_vector()
-    cluster = config.build_cluster(dataset)
+    profile = config.build_profile(config.build_cluster(dataset))
     table = FigureTable(
         figure="Ablation: two-level threshold",
         title="threshold scale versus communication and SSE",
@@ -519,8 +519,8 @@ def ablation_twolevel_threshold(config: Optional[ExperimentConfig] = None,
     for scale in scales:
         algorithm = TwoLevelSampling(config.u, config.k, epsilon=config.epsilon,
                                      threshold_scale=scale)
-        measurement = run_algorithms(dataset, [algorithm], cluster,
-                                     reference=reference, profile=config.build_profile())[0]
+        measurement = run_algorithms(dataset, [algorithm],
+                                     reference=reference, profile=profile)[0]
         table.add_row(threshold_scale=scale,
                       communication_bytes=measurement.communication_bytes,
                       time_s=measurement.simulated_time_s,

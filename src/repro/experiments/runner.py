@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -10,29 +9,16 @@ from repro.algorithms.base import AlgorithmResult, HistogramAlgorithm
 from repro.algorithms.registry import make_algorithm
 from repro.core.frequency import FrequencyVector
 from repro.data.dataset import Dataset
-from repro.errors import InvalidParameterError, SchedulerError
+from repro.errors import SchedulerError
 from repro.experiments.config import ExperimentConfig
-from repro.mapreduce.cluster import ClusterSpec
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.runtime import JobRunner
 from repro.mapreduce.scheduler import ClusterScheduler, SchedulerStats
-from repro.mapreduce.state import StateStore
 from repro.service.profile import RuntimeProfile
 
 __all__ = ["ExperimentMeasurement", "run_algorithms", "standard_algorithms"]
 
 INPUT_PATH = "/data/input"
-
-# Sentinel distinguishing "caller never passed this" from an explicit value in
-# the deprecated kwarg shim of :func:`run_algorithms` (mirrors
-# ``HistogramAlgorithm.run``'s shim).
-_UNSET: Any = object()
-
-_RUN_ALGORITHMS_DEPRECATION = (
-    "run_algorithms' loose keyword arguments (seed=, executor=, data_plane=) "
-    "are deprecated: pass a repro.service.RuntimeProfile via profile=... "
-    "(results are bit-identical either way)"
-)
 
 
 @dataclass
@@ -97,18 +83,14 @@ def standard_algorithms(config: ExperimentConfig, u: Optional[int] = None,
 def run_algorithms(
     dataset: Dataset,
     algorithms: Sequence[HistogramAlgorithm],
-    cluster: Optional[ClusterSpec] = None,
+    *,
     reference: Optional[FrequencyVector] = None,
-    seed: Any = _UNSET,
-    executor: Any = _UNSET,
-    data_plane: Any = _UNSET,
     profile: Optional[RuntimeProfile] = None,
-    concurrent_jobs: Optional[int] = None,
 ) -> List[ExperimentMeasurement]:
     """Run every algorithm over the dataset and measure communication, time and SSE.
 
-    With ``concurrent_jobs > 1`` (set here or on the profile) the algorithms
-    are built as **one scheduled batch**: every algorithm's
+    With the profile's ``concurrent_jobs > 1`` the algorithms are built as
+    **one scheduled batch**: every algorithm's
     :class:`~repro.mapreduce.plan.JobPlan` is admitted to a
     :class:`~repro.mapreduce.scheduler.ClusterScheduler` and their tasks
     interleave on the cluster's shared map/reduce slot pool.  The measurements
@@ -118,63 +100,28 @@ def run_algorithms(
     Args:
         dataset: the input dataset (loaded into a fresh simulated HDFS).
         algorithms: algorithm instances to run.
-        cluster: the (possibly time-scaled) cluster description; overrides the
-            profile's cluster so sweeps can reprice points against per-point
-            clusters while sharing one profile.
         reference: the exact frequency vector; computed from the dataset when
             omitted (pass it in when running many sweeps over the same data).
-        profile: the :class:`~repro.service.profile.RuntimeProfile` forwarded
-            to every algorithm run.  Measurements are executor- and
-            plane-independent by construction, so the profile only changes
-            wall-clock time.
-        concurrent_jobs: maximum algorithm builds in flight at once; defaults
-            to the profile's ``concurrent_jobs`` (1 = sequential).
-
-    Deprecated args (each one emits a single :class:`DeprecationWarning` and
-    is folded into an equivalent profile, so both spellings are
-    bit-identical; mixing them with ``profile=`` raises):
-
-        seed: seed for all randomised components.
-        executor: task executor for the MapReduce phases.
-        data_plane: ``"batch"`` or ``"records"``.
+        profile: the :class:`~repro.service.profile.RuntimeProfile` every
+            algorithm runs with; sweeps reprice points against per-point
+            clusters with ``config.build_profile(cluster)``.  Measurements are
+            executor- and plane-independent by construction, so the execution
+            fields only change wall-clock time.
     """
-    legacy: Dict[str, Any] = {
-        key: value
-        for key, value in (("seed", seed), ("executor", executor),
-                           ("data_plane", data_plane))
-        if value is not _UNSET and value is not None
-    }
-    if legacy:
-        warnings.warn(_RUN_ALGORITHMS_DEPRECATION, DeprecationWarning, stacklevel=2)
-        if profile is not None:
-            raise InvalidParameterError(
-                "pass either profile= or the deprecated loose kwargs, not both"
-            )
-        profile = RuntimeProfile(**legacy)
-    elif profile is None:
-        profile = RuntimeProfile()
-    if cluster is not None:
-        profile = profile.with_overrides(cluster=cluster)
+    profile = profile if profile is not None else RuntimeProfile()
     resolved_cluster = profile.resolved_cluster()
     profile = profile.with_overrides(cluster=resolved_cluster)
-    jobs_in_flight = (concurrent_jobs if concurrent_jobs is not None
-                      else profile.concurrent_jobs)
-    if jobs_in_flight < 1:
-        raise InvalidParameterError(
-            f"concurrent_jobs must be >= 1, got {jobs_in_flight}"
-        )
 
     hdfs = HDFS(datanodes=[machine.name for machine in resolved_cluster.machines])
     dataset.to_hdfs(hdfs, INPUT_PATH)
     exact = reference if reference is not None else dataset.frequency_vector()
 
-    if jobs_in_flight == 1 or len(algorithms) <= 1:
+    if profile.concurrent_jobs == 1 or len(algorithms) <= 1:
         results = [algorithm.run(hdfs, INPUT_PATH, profile=profile)
                    for algorithm in algorithms]
         stats = None
     else:
-        results, stats = _run_scheduled_batch(list(algorithms), hdfs, profile,
-                                              resolved_cluster, jobs_in_flight)
+        results, stats = _run_scheduled_batch(list(algorithms), hdfs, profile)
     measurements = [ExperimentMeasurement.from_result(result, exact)
                     for result in results]
     if stats is not None:
@@ -189,8 +136,6 @@ def _run_scheduled_batch(
     algorithms: List[HistogramAlgorithm],
     hdfs: HDFS,
     profile: RuntimeProfile,
-    cluster: ClusterSpec,
-    jobs_in_flight: int,
 ) -> "tuple[List[AlgorithmResult], Optional[SchedulerStats]]":
     """Build all algorithms as one concurrently scheduled batch.
 
@@ -200,17 +145,11 @@ def _run_scheduled_batch(
     pool, so the batch is bit-identical to running the algorithms one by one.
     Returns the results plus the batch's :class:`SchedulerStats`.
     """
-    executor = profile.build_executor()
-    entries = []
-    for algorithm in algorithms:
-        runner = JobRunner(hdfs, cluster=cluster, state_store=StateStore(),
-                           seed=profile.seed, executor=executor,
-                           data_plane=profile.data_plane,
-                           zero_copy=profile.zero_copy,
-                           telemetry=profile.telemetry)
-        entries.append((algorithm.create_plan(INPUT_PATH), runner))
-    scheduler = ClusterScheduler.for_cluster(cluster, executor,
-                                             max_concurrent_jobs=jobs_in_flight,
+    entries = [(algorithm.create_plan(INPUT_PATH), JobRunner.from_profile(hdfs, profile))
+               for algorithm in algorithms]
+    scheduler = ClusterScheduler.for_cluster(profile.resolved_cluster(),
+                                             profile.build_executor(),
+                                             max_concurrent_jobs=profile.concurrent_jobs,
                                              telemetry=profile.telemetry)
     outcomes = scheduler.run(entries)
     stats = scheduler.last_stats

@@ -159,10 +159,12 @@ class JobRunner:
                      state_store: Optional[StateStore] = None) -> "JobRunner":
         """A runner configured by a :class:`~repro.service.profile.RuntimeProfile`.
 
-        The profile carries the cluster, seed, executor spec and data plane;
-        this is the construction path every profile-aware entry point
-        (``HistogramAlgorithm.run``, the experiment harness, the service
-        façade) funnels through, so runner wiring cannot drift between them.
+        The profile carries the cluster, seed, executor spec, data plane,
+        shipping mode and telemetry.  Every build entry point
+        (``HistogramAlgorithm.run``, ``run_algorithms``' scheduled batch and
+        ``SynopsisService.build_many``) makes its runners here, so runner
+        wiring cannot drift between them.  The runner gets a fresh
+        :class:`StateStore` unless ``state_store`` is given.
         """
         return cls(
             hdfs,

@@ -5,8 +5,8 @@ re-plumb by hand:
 
 * :class:`~repro.service.profile.RuntimeProfile` — *how to run*: cluster,
   cost parameters, seed, executor spec, data plane, as one frozen value.
-  ``HistogramAlgorithm.run(hdfs, input_path, profile=...)`` is the primary
-  build signature (the old loose kwargs survive as a deprecated shim).
+  It is the only runtime argument of every build entry point, e.g.
+  ``HistogramAlgorithm.run(hdfs, input_path, profile=...)``.
 * the algorithm registry (:mod:`repro.algorithms.registry`) — *what to
   build*: ``make_algorithm(name, u=..., k=..., **params)`` resolves any of
   the paper's seven algorithms (or a registered extension) by name.

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from repro.mapreduce.executor import FunctionTaskSpec
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.runtime import JobRunner
 from repro.mapreduce.scheduler import ClusterScheduler, SchedulerStats
-from repro.mapreduce.state import StateStore
 from repro.serving.server import QueryServer, evaluate_range_shard
 from repro.serving.store import SynopsisMetadata, SynopsisStore
 from repro.serving.workload import QueryWorkload
@@ -231,26 +230,25 @@ class SynopsisService:
         self,
         requests: Sequence[Union[BuildRequest, tuple]],
         profile: Optional[RuntimeProfile] = None,
-        *,
-        concurrent_jobs: Optional[int] = None,
     ) -> List[BuildReport]:
         """Build a batch of synopses through a concurrent build queue.
 
         Every request's :class:`~repro.mapreduce.plan.JobPlan` is admitted to
         one :class:`~repro.mapreduce.scheduler.ClusterScheduler`, so the
         builds' map and reduce tasks interleave on the cluster's shared slot
-        pool — up to ``concurrent_jobs`` builds in flight at once (the
-        profile's ``concurrent_jobs`` when omitted; 1 falls back to strictly
-        sequential ``build`` calls).  Scheduling never changes results: each
-        build's stored payload — and therefore its checksum — is bit-identical
-        to a sequential ``build`` of the same request, and versions are
-        published in request order whatever order the builds finished in.
+        pool — up to the profile's ``concurrent_jobs`` builds in flight at
+        once (``1`` admits them one after another through the same
+        scheduler).  Scheduling never changes results: each build's stored
+        payload — and therefore its checksum — is bit-identical to a
+        sequential ``build`` of the same request, and versions are published
+        in request order whatever order the builds finished in.  A request
+        that fails permanently publishes nothing and reports its error; the
+        other requests still build.
 
         Args:
             requests: :class:`BuildRequest` entries (or ``(algorithm,
                 dataset)`` / ``(algorithm, dataset, name)`` tuples).
             profile: how to run the batch; the service's default when omitted.
-            concurrent_jobs: admission bound override.
 
         Returns:
             One :class:`BuildReport` per request, in request order.
@@ -267,18 +265,7 @@ class SynopsisService:
                     f"build_many expects BuildRequest entries or (algorithm, "
                     f"dataset[, name]) tuples, got {request!r}"
                 )
-        jobs_in_flight = (concurrent_jobs if concurrent_jobs is not None
-                          else profile.concurrent_jobs)
-        if jobs_in_flight < 1:
-            raise InvalidParameterError(
-                f"concurrent_jobs must be >= 1, got {jobs_in_flight}"
-            )
-        if jobs_in_flight == 1 or not normalized:
-            return [self.build(request.algorithm, request.dataset, profile,
-                               name=request.name) for request in normalized]
 
-        cluster = profile.resolved_cluster()
-        executor = profile.build_executor()
         entries = []
         algorithms: List[HistogramAlgorithm] = []
         for request in normalized:
@@ -289,22 +276,19 @@ class SynopsisService:
                 algorithm = algorithm.create(default_u=request.dataset.u)
             hdfs = HDFS()
             request.dataset.to_hdfs(hdfs, SERVICE_INPUT_PATH)
-            runner = JobRunner(hdfs, cluster=cluster, state_store=StateStore(),
-                               seed=profile.seed, executor=executor,
-                               data_plane=profile.data_plane,
-                               zero_copy=profile.zero_copy,
-                               telemetry=profile.telemetry)
-            entries.append((algorithm.create_plan(SERVICE_INPUT_PATH), runner))
+            entries.append((algorithm.create_plan(SERVICE_INPUT_PATH),
+                            JobRunner.from_profile(hdfs, profile)))
             algorithms.append(algorithm)
 
         telemetry = active_telemetry(profile.telemetry)
         logger.debug("scheduling %d build(s), %d in flight",
-                     len(entries), jobs_in_flight)
+                     len(entries), profile.concurrent_jobs)
         scheduler = ClusterScheduler.for_cluster(
-            cluster, executor, max_concurrent_jobs=jobs_in_flight,
+            profile.resolved_cluster(), profile.build_executor(),
+            max_concurrent_jobs=profile.concurrent_jobs,
             telemetry=profile.telemetry)
         with telemetry.tracer.span("service.build_many", kind="serving",
-                                   builds=len(entries), jobs=jobs_in_flight):
+                                   builds=len(entries), jobs=profile.concurrent_jobs):
             outcomes = scheduler.run(entries)
         stats = scheduler.last_stats
 

@@ -1,11 +1,11 @@
 """The :class:`RuntimeProfile` value object: *how* to run a build.
 
-Before this module existed, every entry point re-plumbed the same bundle of
-orthogonal knobs by hand — ``HistogramAlgorithm.run(hdfs, input_path, cluster,
-cost_parameters, seed, executor, data_plane, ...)`` — and every new runtime
-option meant touching the CLI, the experiment harness, the figure drivers and
-every example.  A :class:`RuntimeProfile` packages those knobs into one frozen,
-reusable value:
+A :class:`RuntimeProfile` is the only runtime argument of every build entry
+point — ``HistogramAlgorithm.run(hdfs, input_path, profile=...)``,
+``run_algorithms(..., profile=...)`` and the service façade's ``build`` and
+``build_many`` — and ``JobRunner.from_profile`` turns it into a runner.  It
+packages the orthogonal knobs of a run into one frozen, reusable value, so a
+new runtime option touches the profile, not every entry point:
 
 * **cluster** — the simulated cluster the MapReduce rounds are priced against
   (the paper's 16-node cluster when omitted);
@@ -27,7 +27,7 @@ answer arrives, never what it is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.cost.model import CostParameters
 from repro.errors import InvalidParameterError
@@ -40,11 +40,6 @@ from repro.mapreduce.executor import (
 )
 from repro.mapreduce.serialization import zero_copy_default
 from repro.telemetry import Telemetry
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.mapreduce.hdfs import HDFS
-    from repro.mapreduce.runtime import JobRunner
-    from repro.mapreduce.state import StateStore
 
 __all__ = ["RuntimeProfile"]
 
@@ -69,7 +64,7 @@ class RuntimeProfile:
             (``run_algorithms``, ``SynopsisService.build_many``) may run
             concurrently on the cluster's shared slot pool through the
             :class:`~repro.mapreduce.scheduler.ClusterScheduler`.  ``1`` (the
-            default) keeps builds strictly sequential.  Like every execution
+            default) builds one at a time.  Like every execution
             field, this never changes results — a concurrent batch is
             bit-identical to sequential builds — only wall-clock time.
         fault_rate: probability in ``[0, 1)`` that a task attempt draws an
@@ -171,13 +166,6 @@ class RuntimeProfile:
     def resolved_cluster(self) -> ClusterSpec:
         """The cluster to run against (the paper's cluster when unset)."""
         return self.cluster if self.cluster is not None else paper_cluster()
-
-    def create_runner(self, hdfs: "HDFS",
-                      state_store: Optional["StateStore"] = None) -> "JobRunner":
-        """A :class:`~repro.mapreduce.runtime.JobRunner` configured by this profile."""
-        from repro.mapreduce.runtime import JobRunner
-
-        return JobRunner.from_profile(hdfs, self, state_store=state_store)
 
     # -------------------------------------------------------------- variation
     def with_overrides(self, **changes: Any) -> "RuntimeProfile":

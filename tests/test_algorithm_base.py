@@ -10,6 +10,7 @@ from repro.core.histogram import WaveletHistogram
 from repro.cost.model import CostParameters
 from repro.errors import InvalidParameterError
 from repro.mapreduce.counters import CounterNames
+from repro.service import RuntimeProfile
 
 
 class TestHistogramAlgorithmValidation:
@@ -38,12 +39,14 @@ class TestRunDriver:
 
     def test_custom_cost_parameters_change_time_but_not_communication(
             self, hdfs_with_small_dataset, small_dataset, small_cluster):
+        profile = RuntimeProfile(cluster=small_cluster)
         baseline = SendV(small_dataset.u, 5).run(
-            hdfs_with_small_dataset, "/data/input", cluster=small_cluster
+            hdfs_with_small_dataset, "/data/input", profile=profile
         )
         expensive = SendV(small_dataset.u, 5).run(
-            hdfs_with_small_dataset, "/data/input", cluster=small_cluster,
-            cost_parameters=CostParameters(seconds_per_hashmap_update=1e-3),
+            hdfs_with_small_dataset, "/data/input",
+            profile=profile.with_overrides(
+                cost_parameters=CostParameters(seconds_per_hashmap_update=1e-3)),
         )
         assert expensive.simulated_time_s > baseline.simulated_time_s
         assert expensive.communication_bytes == baseline.communication_bytes
@@ -51,17 +54,36 @@ class TestRunDriver:
     def test_result_counters_match_round_counters(self, hdfs_with_small_dataset,
                                                   small_dataset, small_cluster):
         result = SendV(small_dataset.u, 5).run(hdfs_with_small_dataset, "/data/input",
-                                               cluster=small_cluster)
+                                               profile=RuntimeProfile(cluster=small_cluster))
         per_round = sum(r.counters.get(CounterNames.SHUFFLE_BYTES) for r in result.rounds)
         assert result.counters.get(CounterNames.SHUFFLE_BYTES) == per_round
 
     def test_result_communication_matches_rounds(self, hdfs_with_small_dataset,
                                                  small_dataset, small_cluster):
         result = SendV(small_dataset.u, 5).run(hdfs_with_small_dataset, "/data/input",
-                                               cluster=small_cluster)
+                                               profile=RuntimeProfile(cluster=small_cluster))
         assert result.communication_bytes == pytest.approx(
             sum(r.communication_bytes for r in result.rounds)
         )
+
+    def test_profile_is_the_only_runtime_argument(self, hdfs_with_small_dataset,
+                                                  small_dataset, small_cluster):
+        """The pre-profile spellings of run() fail loudly, and an algorithm
+        that declares no plan cannot be built at all."""
+        algorithm = SendV(small_dataset.u, 5)
+        for positional in (small_cluster, RuntimeProfile(cluster=small_cluster)):
+            with pytest.raises(TypeError):
+                algorithm.run(hdfs_with_small_dataset, "/data/input", positional)
+        for legacy in ("cluster", "cost_parameters", "seed", "executor", "data_plane",
+                       "store", "store_name"):
+            with pytest.raises(TypeError, match=legacy):
+                algorithm.run(hdfs_with_small_dataset, "/data/input", **{legacy: None})
+
+        class Unplanned(HistogramAlgorithm):
+            name = "unplanned"
+
+        with pytest.raises(TypeError, match="create_plan"):
+            Unplanned(small_dataset.u, 5)
 
 
 class TestAlgorithmResult:

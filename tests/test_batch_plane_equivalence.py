@@ -29,6 +29,7 @@ from repro.algorithms import (
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.executor import ParallelExecutor, SerialExecutor
 from repro.mapreduce.hdfs import HDFS
+from repro.service import RuntimeProfile
 
 U = 64
 K = 5
@@ -67,8 +68,9 @@ def _run(factory, keys, executor, data_plane):
     hdfs = HDFS()
     hdfs.create_file("/input", np.asarray(keys, dtype=np.int64))
     cluster = paper_cluster(split_size_bytes=max(4, (len(keys) * 4) // 4))
-    return factory().run(hdfs, "/input", cluster=cluster, seed=SEED,
-                         executor=executor, data_plane=data_plane)
+    profile = RuntimeProfile(cluster=cluster, seed=SEED, executor=executor,
+                             data_plane=data_plane)
+    return factory().run(hdfs, "/input", profile=profile)
 
 
 def _assert_identical(reference, other, label):

@@ -19,6 +19,7 @@ from repro.core.haar import haar_transform
 from repro.core.topk_coefficients import top_k_from_dense
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.hdfs import HDFS
+from repro.service import RuntimeProfile
 
 K = 8
 SEED = 11
@@ -35,7 +36,8 @@ def _run(algorithm, tiny_dataset):
     cluster = paper_cluster(split_size_bytes=max(4, tiny_dataset.size_bytes // 4))
     hdfs = HDFS(datanodes=["n0", "n1"])
     tiny_dataset.to_hdfs(hdfs, "/data/input")
-    return algorithm.run(hdfs, "/data/input", cluster=cluster, seed=SEED)
+    return algorithm.run(hdfs, "/data/input",
+                         profile=RuntimeProfile(cluster=cluster, seed=SEED))
 
 
 def _assert_matches_direct(coefficients, direct, atol=1e-9):

@@ -30,6 +30,7 @@ from repro.mapreduce.executor import (
     shared_executor,
 )
 from repro.mapreduce.hdfs import HDFS
+from repro.service import RuntimeProfile
 
 U = 256
 K = 10
@@ -59,8 +60,8 @@ def parallel_executor():
 def _run(algorithm_factory, dataset, cluster, executor):
     hdfs = HDFS(datanodes=[machine.name for machine in cluster.machines])
     dataset.to_hdfs(hdfs, "/data/input")
-    return algorithm_factory().run(hdfs, "/data/input", cluster=cluster,
-                                   seed=SEED, executor=executor)
+    profile = RuntimeProfile(cluster=cluster, seed=SEED, executor=executor)
+    return algorithm_factory().run(hdfs, "/data/input", profile=profile)
 
 
 @pytest.mark.parametrize("name", sorted(ALGORITHM_FACTORIES))

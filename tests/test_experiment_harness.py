@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.errors import InvalidParameterError
@@ -87,8 +85,8 @@ class TestRunner:
         dataset = quick_config.build_dataset()
         cluster = quick_config.build_cluster(dataset)
         algorithms = standard_algorithms(quick_config)[:2]  # Send-V and H-WTopk
-        measurements = run_algorithms(dataset, algorithms, cluster,
-                                      profile=quick_config.build_profile())
+        measurements = run_algorithms(dataset, algorithms,
+                                      profile=quick_config.build_profile(cluster))
         assert [m.algorithm for m in measurements] == ["Send-V", "H-WTopk"]
         for measurement in measurements:
             assert measurement.communication_bytes > 0
@@ -100,39 +98,21 @@ class TestRunner:
         dataset = quick_config.build_dataset()
         cluster = quick_config.build_cluster(dataset)
         reference = dataset.frequency_vector()
-        measurements = run_algorithms(dataset, standard_algorithms(quick_config)[:2], cluster,
+        measurements = run_algorithms(dataset, standard_algorithms(quick_config)[:2],
                                       reference=reference,
-                                      profile=quick_config.build_profile())
+                                      profile=quick_config.build_profile(cluster))
         assert measurements[0].sse == pytest.approx(measurements[1].sse, rel=1e-9)
 
-    def test_legacy_kwargs_warn_once_and_match_profile(self, quick_config):
-        """Satellite: seed=/executor=/data_plane= fold through the deprecation
-        shim (one warning naming RuntimeProfile) instead of being ignored."""
+    def test_runtime_settings_come_only_from_the_profile(self, quick_config):
+        """A stale positional cluster must not bind to ``reference``."""
         dataset = quick_config.build_dataset()
         cluster = quick_config.build_cluster(dataset)
         algorithms = standard_algorithms(quick_config)[:1]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = run_algorithms(dataset, algorithms, cluster,
-                                    seed=quick_config.seed, executor="serial",
-                                    data_plane="batch")
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "RuntimeProfile" in str(deprecations[0].message)
-
-        via_profile = run_algorithms(dataset, algorithms, cluster,
-                                     profile=quick_config.build_profile())
-        assert legacy[0].communication_bytes == via_profile[0].communication_bytes
-        assert legacy[0].simulated_time_s == via_profile[0].simulated_time_s
-        assert legacy[0].sse == via_profile[0].sse
-
-    def test_mixing_profile_and_legacy_kwargs_raises(self, quick_config):
-        dataset = quick_config.build_dataset()
-        with pytest.warns(DeprecationWarning, match="RuntimeProfile"):
-            with pytest.raises(InvalidParameterError, match="not both"):
-                run_algorithms(dataset, standard_algorithms(quick_config)[:1],
-                               seed=3, profile=quick_config.build_profile())
+        with pytest.raises(TypeError):
+            run_algorithms(dataset, algorithms, cluster)
+        for legacy in ("cluster", "seed", "executor", "data_plane", "concurrent_jobs"):
+            with pytest.raises(TypeError, match=legacy):
+                run_algorithms(dataset, algorithms, **{legacy: None})
 
 
 class TestReporting:

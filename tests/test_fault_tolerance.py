@@ -257,9 +257,12 @@ class TestWorkerKillRecovery:
 
 
 class TestJobFailureIsolation:
-    def test_one_failed_job_leaves_siblings_bit_identical(self, tiny_dataset):
+    @pytest.mark.parametrize("concurrent_jobs", [1, 2])
+    def test_one_failed_job_leaves_siblings_bit_identical(self, tiny_dataset,
+                                                          concurrent_jobs):
         # Target only Send-V's mapper: its retry budget exhausts and the job
-        # fails permanently, while Send-Coef shares the scheduler batch.
+        # fails permanently, while Send-Coef shares the scheduler batch and a
+        # later request still builds, whatever the admission bound.
         injector = FaultInjector(
             rate=ALWAYS, seed=5, max_faults_per_task=10,
             selector=lambda spec: "SendV" in getattr(
@@ -268,17 +271,19 @@ class TestJobFailureIsolation:
             retry_policy=RetryPolicy(max_attempts=2), fault_injector=injector)
         service = SynopsisService(
             profile=RuntimeProfile(cluster=_cluster(tiny_dataset), seed=SEED,
-                                   executor=executor, concurrent_jobs=2))
+                                   executor=executor,
+                                   concurrent_jobs=concurrent_jobs))
         reports = service.build_many([
             (SendV(U, K), tiny_dataset, "victim"),
             (SendCoef(U, K), tiny_dataset, "sibling"),
+            (TwoLevelSampling(U, K, epsilon=EPSILON), tiny_dataset, "later"),
         ])
 
-        victim, sibling = reports
+        victim, sibling, later = reports
         assert not victim.ok
         assert victim.metadata is None and victim.result is None
         assert "permanently" in victim.error
-        assert sibling.ok
+        assert sibling.ok and later.ok
 
         stats = victim.scheduler_stats
         assert stats is not None
@@ -287,17 +292,20 @@ class TestJobFailureIsolation:
         assert "permanently" in stats.job_errors[0]
         assert "failed-jobs=1" in stats.describe()
 
-        # Nothing of the failed build was published; the sibling was.
+        # Nothing of the failed build was published; the others were.
         assert service.store.versions("victim") == []
         assert service.store.versions("sibling") == [1]
+        assert service.store.versions("later") == [1]
 
-        # The sibling is bit-identical to a solo clean build.
+        # The others are bit-identical to solo clean builds.
         solo_service = SynopsisService(
             profile=RuntimeProfile(cluster=_cluster(tiny_dataset), seed=SEED))
-        solo = solo_service.build(SendCoef(U, K), tiny_dataset, name="sibling")
-        assert sibling.checksum_sha256 == solo.checksum_sha256
-        assert (sibling.result.histogram.coefficients
-                == solo.result.histogram.coefficients)
+        for report, algorithm in ((sibling, SendCoef(U, K)),
+                                  (later, TwoLevelSampling(U, K, epsilon=EPSILON))):
+            solo = solo_service.build(algorithm, tiny_dataset, name=report.name)
+            assert report.checksum_sha256 == solo.checksum_sha256
+            assert (report.result.histogram.coefficients
+                    == solo.result.histogram.coefficients)
 
     def test_experiment_sweep_fails_loudly_on_permanent_failure(self,
                                                                 tiny_dataset):

@@ -13,6 +13,7 @@ from repro import (
     HDFS,
     HWTopk,
     ImprovedSampling,
+    RuntimeProfile,
     SendCoef,
     SendSketch,
     SendV,
@@ -44,7 +45,8 @@ def stack():
         "Improved-S": ImprovedSampling(dataset.u, K, epsilon=EPSILON),
         "TwoLevel-S": TwoLevelSampling(dataset.u, K, epsilon=EPSILON),
     }
-    results = {name: algorithm.run(hdfs, "/data/input", cluster=cluster, seed=1)
+    profile = RuntimeProfile(cluster=cluster, seed=1)
+    results = {name: algorithm.run(hdfs, "/data/input", profile=profile)
                for name, algorithm in algorithms.items()}
     return dataset, reference, ideal, results
 

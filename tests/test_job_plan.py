@@ -10,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import HWTopk, SendV, TwoLevelSampling
-from repro.algorithms.base import HistogramAlgorithm
 from repro.errors import PlanError
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.job import JobConfiguration, MapReduceJob
@@ -68,13 +67,6 @@ class TestPlanValidation:
         for slug in algorithm_names():
             plan = make_algorithm(slug, u=64, k=5).create_plan("/data/input")
             assert plan.stages, slug
-
-    def test_unplanned_algorithm_raises_a_clear_error(self):
-        class Legacy(HistogramAlgorithm):
-            name = "legacy"
-
-        with pytest.raises(PlanError, match="create_plan"):
-            Legacy(64, 5).create_plan("/in")
 
 
 class TestPlanContext:

@@ -2,8 +2,8 @@
 
 Each rule gets positive fixtures (violations must be found) and negative
 fixtures (idiomatic code must stay clean), plus pragma suppression, the JSON
-report schema, CLI exit codes, the lint_no_print shim contract — and the
-meta-test: the shipped ``src/repro`` tree lints clean.
+report schema, CLI exit codes — and the meta-test: the shipped
+``src/repro`` tree lints clean.
 """
 
 from __future__ import annotations
@@ -498,27 +498,6 @@ class TestCommandLine:
         for rule in ("layering", "determinism", "picklability",
                      "lock-discipline", "no-print"):
             assert rule in proc.stdout
-
-
-class TestLintNoPrintShim:
-    def run_shim(self, target):
-        return subprocess.run(
-            [sys.executable, "tools/lint_no_print.py", str(target)],
-            cwd=REPO_ROOT, capture_output=True, text=True)
-
-    def test_clean_tree_exits_zero(self):
-        proc = self.run_shim(REPO_ROOT / "src" / "repro")
-        assert proc.returncode == 0, proc.stderr
-
-    def test_violation_exits_one_with_file_line_on_stderr(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/core/bad.py", "print('x')\n")
-        proc = self.run_shim(tmp_path / "src" / "repro")
-        assert proc.returncode == 1
-        assert f"{path}:1" in proc.stderr
-
-    def test_missing_directory_exits_two(self, tmp_path):
-        proc = self.run_shim(tmp_path / "missing")
-        assert proc.returncode == 2
 
 
 class TestShippedTreeIsClean:

@@ -168,8 +168,8 @@ def test_run_algorithms_concurrent_matches_sequential(small_dataset,
     sequential = run_algorithms(small_dataset, algorithms, reference=reference,
                                 profile=profile)
     concurrent = run_algorithms(small_dataset, seven_algorithms(),
-                                reference=reference, profile=profile,
-                                concurrent_jobs=7)
+                                reference=reference,
+                                profile=profile.with_overrides(concurrent_jobs=7))
     assert len(sequential) == len(concurrent)
     for expected, actual in zip(sequential, concurrent):
         assert expected.algorithm == actual.algorithm

@@ -1,22 +1,15 @@
-"""Tests for the unified service API: RuntimeProfile, the algorithm registry,
-the deprecated kwarg shim on ``HistogramAlgorithm.run`` and the
-``SynopsisService`` façade (build → store → multi-synopsis fan-out).
+"""Tests for the unified service API: RuntimeProfile, the algorithm registry
+and the ``SynopsisService`` façade (build → store → multi-synopsis fan-out).
 
-``TestServiceSmoke`` doubles as the CI smoke entry point: the workflow runs it
-with ``REPRO_API_PATH=profile`` and ``REPRO_API_PATH=shim`` so both spellings
-of the build API stay part of the test matrix.
+``TestServiceSmoke`` doubles as the CI smoke entry point.
 """
 
 from __future__ import annotations
-
-import os
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.algorithms import SendV, TwoLevelSampling
-from repro.algorithms.base import HistogramAlgorithm
 from repro.algorithms.registry import (
     algorithm_class,
     algorithm_names,
@@ -41,7 +34,6 @@ from repro.service import (
     SynopsisService,
 )
 from repro.serving.backends import MemoryBackend
-from repro.serving.store import SynopsisStore
 from repro.serving.workload import WorkloadGenerator
 
 U = 256
@@ -52,41 +44,6 @@ SEED = 11
 @pytest.fixture(scope="module")
 def service_dataset():
     return ZipfDatasetGenerator(u=U, alpha=1.1, seed=5).generate(8_000, name="svc-zipf")
-
-
-def _legacy_run(algorithm, dataset, **kwargs):
-    """Run with the deprecated kwarg surface, asserting exactly one warning."""
-    hdfs = HDFS()
-    dataset.to_hdfs(hdfs, "/data/input")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = algorithm.run(hdfs, "/data/input", **kwargs)
-    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1, "legacy kwargs must emit exactly one warning"
-    assert "RuntimeProfile" in str(deprecations[0].message)
-    return result
-
-
-def _profile_run(algorithm, dataset, profile):
-    """Run through the profile path, asserting it is warning-free."""
-    hdfs = HDFS()
-    dataset.to_hdfs(hdfs, "/data/input")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = algorithm.run(hdfs, "/data/input", profile=profile)
-    assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    return result
-
-
-def _assert_identical(first, second):
-    assert first.histogram.coefficients == second.histogram.coefficients
-    assert first.counters.as_dict() == second.counters.as_dict()
-    assert first.communication_bytes == second.communication_bytes
-    assert first.simulated_time_s == second.simulated_time_s
-    assert first.num_rounds == second.num_rounds
-    for round_a, round_b in zip(first.rounds, second.rounds):
-        assert round_a.output == round_b.output
-        assert round_a.shuffle_bytes == round_b.shuffle_bytes
 
 
 class TestRuntimeProfile:
@@ -127,7 +84,7 @@ class TestRuntimeProfile:
         assert RuntimeProfile(cluster=cluster).resolved_cluster() is cluster
 
     def test_create_runner(self):
-        runner = RuntimeProfile(seed=3, data_plane="records").create_runner(HDFS())
+        runner = JobRunner.from_profile(HDFS(), RuntimeProfile(seed=3, data_plane="records"))
         assert isinstance(runner, JobRunner)
         assert runner.data_plane == "records"
         assert isinstance(runner.executor, SerialExecutor)
@@ -165,58 +122,6 @@ class TestRuntimeProfile:
     def test_describe_mentions_the_executor(self):
         assert "executor=parallel:3" in RuntimeProfile(
             executor="parallel", workers=3).describe()
-
-
-class TestRunShim:
-    def test_legacy_kwargs_and_profile_are_bit_identical(self, service_dataset):
-        cluster = paper_cluster(split_size_bytes=service_dataset.size_bytes // 8)
-        legacy = _legacy_run(TwoLevelSampling(U, K, epsilon=0.05), service_dataset,
-                             cluster=cluster, seed=SEED, data_plane="batch")
-        profiled = _profile_run(TwoLevelSampling(U, K, epsilon=0.05), service_dataset,
-                                RuntimeProfile(cluster=cluster, seed=SEED))
-        _assert_identical(legacy, profiled)
-
-    def test_positional_legacy_cluster_matches_keyword(self, service_dataset):
-        cluster = paper_cluster(split_size_bytes=service_dataset.size_bytes // 8)
-        hdfs = HDFS()
-        service_dataset.to_hdfs(hdfs, "/data/input")
-        with pytest.warns(DeprecationWarning, match="RuntimeProfile"):
-            positional = SendV(U, K).run(hdfs, "/data/input", cluster)
-        with pytest.warns(DeprecationWarning, match="RuntimeProfile"):
-            keyword = SendV(U, K).run(hdfs, "/data/input", cluster=cluster)
-        _assert_identical(positional, keyword)
-
-    def test_store_kwargs_warn_and_persist(self, service_dataset, tmp_path):
-        store = SynopsisStore(str(tmp_path / "store"))
-        result = _legacy_run(SendV(U, K), service_dataset,
-                             store=store, store_name="legacy-entry")
-        entry = result.details["store_entry"]
-        assert entry["name"] == "legacy-entry" and entry["version"] == 1
-        assert store.load("legacy-entry").histogram.coefficients == \
-            result.histogram.coefficients
-
-    def test_mixing_profile_and_legacy_kwargs_raises(self, service_dataset):
-        hdfs = HDFS()
-        service_dataset.to_hdfs(hdfs, "/data/input")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(InvalidParameterError):
-                SendV(U, K).run(hdfs, "/data/input", RuntimeProfile(), seed=3)
-
-    def test_profile_slot_rejects_garbage(self, service_dataset):
-        hdfs = HDFS()
-        service_dataset.to_hdfs(hdfs, "/data/input")
-        with pytest.raises(InvalidParameterError):
-            SendV(U, K).run(hdfs, "/data/input", 42)  # type: ignore[arg-type]
-
-    def test_executor_instance_through_legacy_kwarg(self, service_dataset):
-        serial = _profile_run(SendV(U, K), service_dataset, RuntimeProfile(seed=SEED))
-        executor = ParallelExecutor(max_workers=2)
-        try:
-            legacy = _legacy_run(SendV(U, K), service_dataset,
-                                 seed=SEED, executor=executor)
-        finally:
-            executor.close()
-        _assert_identical(serial, legacy)
 
 
 class TestRegistry:
@@ -440,7 +345,7 @@ class TestBuildMany:
 
         concurrent_service = SynopsisService(profile=profile)
         concurrent = concurrent_service.build_many(
-            self._requests(service_dataset), concurrent_jobs=3)
+            self._requests(service_dataset), profile.with_overrides(concurrent_jobs=3))
 
         assert [r.name for r in concurrent] == ["web", "orders", "clicks"]
         for expected, actual in zip(sequential, concurrent):
@@ -462,13 +367,13 @@ class TestBuildMany:
         assert service.store.names() == ["a", "b"]
 
     def test_sequential_fallback_is_identical(self, service_dataset):
+        """One build in flight at a time publishes what three in flight do."""
         profile = RuntimeProfile(seed=SEED)
         service = SynopsisService(profile=profile)
-        one_at_a_time = service.build_many(self._requests(service_dataset),
-                                           concurrent_jobs=1)
+        one_at_a_time = service.build_many(self._requests(service_dataset), profile)
         other = SynopsisService(profile=profile)
         scheduled = other.build_many(self._requests(service_dataset),
-                                     concurrent_jobs=3)
+                                     profile.with_overrides(concurrent_jobs=3))
         for expected, actual in zip(one_at_a_time, scheduled):
             assert actual.checksum_sha256 == expected.checksum_sha256
 
@@ -476,20 +381,12 @@ class TestBuildMany:
         service = SynopsisService(profile=RuntimeProfile(seed=SEED))
         with pytest.raises(InvalidParameterError, match="BuildRequest"):
             service.build_many([("send-v",)])
-        with pytest.raises(InvalidParameterError, match="concurrent_jobs"):
-            service.build_many([("send-v", service_dataset)], concurrent_jobs=0)
 
 
 class TestServiceSmoke:
-    """The CI smoke: registry build x fan-out query on the memory backend.
-
-    ``REPRO_API_PATH=shim`` additionally routes one build through the
-    deprecated kwarg surface and asserts it is byte-identical to the profile
-    path (same stored checksum).
-    """
+    """The CI smoke: registry build x fan-out query on the memory backend."""
 
     def test_build_two_fanout_deterministically(self, service_dataset):
-        api_path = os.environ.get("REPRO_API_PATH", "profile")
         profile = RuntimeProfile(seed=SEED)
         service = SynopsisService(profile=profile)
         assert isinstance(service.store.backend, MemoryBackend)
@@ -499,18 +396,6 @@ class TestServiceSmoke:
         orders = service.build(
             AlgorithmSpec("twolevel-s", k=K, parameters={"epsilon": 0.05}),
             service_dataset, name="orders")
-
-        if api_path == "shim":
-            # The deprecated spelling must publish byte-identical synopses.
-            legacy = _legacy_run(
-                make_algorithm("send-v", u=service_dataset.u, k=K),
-                service_dataset,
-                cluster=profile.resolved_cluster(), seed=profile.seed,
-                store=service.store, store_name="web-shim")
-            shim_metadata = service.store.load("web-shim").metadata
-            assert shim_metadata.checksum_sha256 == web.checksum_sha256
-            assert legacy.histogram.coefficients == \
-                service.store.load("web").histogram.coefficients
 
         workload = WorkloadGenerator(U, seed=41).generate(2_000, "mixed")
         first = service.query_workload(["web", "orders"], workload)

@@ -19,6 +19,7 @@ from repro.errors import (
     SynopsisNotFoundError,
 )
 from repro.mapreduce.hdfs import HDFS
+from repro.service import RuntimeProfile
 from repro.serving.store import (
     PAYLOAD_FILENAME,
     SynopsisStore,
@@ -194,8 +195,9 @@ class TestAlgorithmRunEmitsStoreEntries:
                                                  small_dataset, small_cluster):
         store = SynopsisStore(str(tmp_path))
         algorithm = TwoLevelSampling(small_dataset.u, 16, epsilon=0.02)
-        result = algorithm.run(hdfs_with_small_dataset, "/data/input",
-                               cluster=small_cluster, seed=11, store=store)
+        profile = RuntimeProfile(cluster=small_cluster, seed=11)
+        result = algorithm.run(hdfs_with_small_dataset, "/data/input", profile=profile)
+        result.publish(store, seed=profile.seed)
         entry = result.details["store_entry"]
         assert entry["name"] == "TwoLevel-S" and entry["version"] == 1
         metadata = store.load("TwoLevel-S").metadata
@@ -213,8 +215,8 @@ class TestAlgorithmRunEmitsStoreEntries:
         store = SynopsisStore(str(tmp_path))
         algorithm = TwoLevelSampling(small_dataset.u, 8, epsilon=0.02)
         result = algorithm.run(hdfs_with_small_dataset, "/data/input",
-                               cluster=small_cluster, store=store,
-                               store_name="catalog-entry")
+                               profile=RuntimeProfile(cluster=small_cluster))
+        result.publish(store, name="catalog-entry")
         assert result.details["store_entry"]["name"] == "catalog-entry"
         assert store.names() == ["catalog-entry"]
 

@@ -1,5 +1,4 @@
 """Developer tooling for the repository (not shipped with the package).
 
-``tools.reprolint`` is the static-analysis suite; ``tools/lint_no_print.py``
-is a thin exit-code-compatible shim over its ``no-print`` rule.
+``tools.reprolint`` is the static-analysis suite (``python -m tools.reprolint``).
 """

@@ -4,9 +4,6 @@ Library code reports through stdlib ``logging`` and the telemetry layer;
 stdout belongs to the CLI front end (``repro/cli.py``) and the experiment
 report renderers (``reporting.py``), which exist to print.  An AST pass, not
 a grep — docstrings and comments mentioning ``print()`` don't trip it.
-
-This is the PR-7 ``tools/lint_no_print.py`` lint folded into the framework;
-the old script survives as an exit-code-compatible shim over this rule.
 """
 
 from __future__ import annotations
