@@ -4,9 +4,9 @@ This is the PR-5 acceptance benchmark.  The full seven-algorithm suite is
 built twice over the fig10-anchor dataset (n = 640k Zipfian records,
 u = 2^15, ~64 splits) on the process-parallel executor:
 
-* **sequential** — one algorithm at a time, each behind its own phase
-  barriers (the pre-scheduler behaviour: a single-reducer round idles every
-  other worker);
+* **sequential** — the scheduler admitting one plan at a time
+  (``concurrent_jobs=1``), so each algorithm runs behind its own phase
+  barriers and a single-reducer round idles every other worker;
 * **concurrent** — all seven :class:`~repro.mapreduce.plan.JobPlan` objects
   admitted to one :class:`~repro.mapreduce.scheduler.ClusterScheduler`, their
   tasks interleaving on the cluster's shared map/reduce slot pool, so one

@@ -74,8 +74,8 @@ class ExperimentConfig:
             reference path); results are plane-independent by construction,
             so this only changes wall-clock time.
         concurrent_jobs: how many algorithm builds ``run_algorithms`` may
-            schedule concurrently on the cluster's shared slot pool (1 keeps
-            the sequential behaviour); results are scheduling-independent by
+            schedule concurrently on the cluster's shared slot pool (1 admits
+            one build at a time); results are scheduling-independent by
             construction, so this only changes wall-clock time.
         zero_copy: whether task specs ship to parallel workers out-of-band
             through shared memory (``None`` defers to the process default,

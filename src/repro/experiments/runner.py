@@ -13,7 +13,7 @@ from repro.errors import SchedulerError
 from repro.experiments.config import ExperimentConfig
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.runtime import JobRunner
-from repro.mapreduce.scheduler import ClusterScheduler, SchedulerStats
+from repro.mapreduce.scheduler import ClusterScheduler
 from repro.service.profile import RuntimeProfile
 
 __all__ = ["ExperimentMeasurement", "run_algorithms", "standard_algorithms"]
@@ -89,13 +89,17 @@ def run_algorithms(
 ) -> List[ExperimentMeasurement]:
     """Run every algorithm over the dataset and measure communication, time and SSE.
 
-    With the profile's ``concurrent_jobs > 1`` the algorithms are built as
-    **one scheduled batch**: every algorithm's
+    The algorithms are built as **one scheduled batch**: every algorithm's
     :class:`~repro.mapreduce.plan.JobPlan` is admitted to a
-    :class:`~repro.mapreduce.scheduler.ClusterScheduler` and their tasks
-    interleave on the cluster's shared map/reduce slot pool.  The measurements
-    are bit-identical to the sequential path — scheduling only changes
-    wall-clock time.
+    :class:`~repro.mapreduce.scheduler.ClusterScheduler`, at most the
+    profile's ``concurrent_jobs`` at a time, and their tasks interleave on the
+    cluster's shared map/reduce slot pool.  The measurements are
+    bit-identical to running each algorithm on its own with
+    :meth:`~repro.algorithms.base.HistogramAlgorithm.run` — scheduling only
+    changes wall-clock time — and each carries the batch's scheduler
+    statistics in ``details["scheduler_stats"]``.  An algorithm that fails
+    permanently raises :class:`~repro.errors.SchedulerError` naming it,
+    whatever ``concurrent_jobs`` is.
 
     Args:
         dataset: the input dataset (loaded into a fresh simulated HDFS).
@@ -116,44 +120,19 @@ def run_algorithms(
     dataset.to_hdfs(hdfs, INPUT_PATH)
     exact = reference if reference is not None else dataset.frequency_vector()
 
-    if profile.concurrent_jobs == 1 or len(algorithms) <= 1:
-        results = [algorithm.run(hdfs, INPUT_PATH, profile=profile)
-                   for algorithm in algorithms]
-        stats = None
-    else:
-        results, stats = _run_scheduled_batch(list(algorithms), hdfs, profile)
-    measurements = [ExperimentMeasurement.from_result(result, exact)
-                    for result in results]
-    if stats is not None:
-        # Surface the batch-wide scheduler statistics on every measurement
-        # (they describe the shared slot pool, not any single algorithm).
-        for measurement in measurements:
-            measurement.details["scheduler_stats"] = stats.describe()
-    return measurements
-
-
-def _run_scheduled_batch(
-    algorithms: List[HistogramAlgorithm],
-    hdfs: HDFS,
-    profile: RuntimeProfile,
-) -> "tuple[List[AlgorithmResult], Optional[SchedulerStats]]":
-    """Build all algorithms as one concurrently scheduled batch.
-
-    Each algorithm gets its own :class:`JobRunner` (own state store, seed and
-    round numbering — exactly what a sequential ``run`` would construct) and
-    its plan joins one :class:`ClusterScheduler` batch on the shared slot
-    pool, so the batch is bit-identical to running the algorithms one by one.
-    Returns the results plus the batch's :class:`SchedulerStats`.
-    """
-    entries = [(algorithm.create_plan(INPUT_PATH), JobRunner.from_profile(hdfs, profile))
-               for algorithm in algorithms]
-    scheduler = ClusterScheduler.for_cluster(profile.resolved_cluster(),
+    scheduler = ClusterScheduler.for_cluster(resolved_cluster,
                                              profile.build_executor(),
                                              max_concurrent_jobs=profile.concurrent_jobs,
                                              telemetry=profile.telemetry)
-    outcomes = scheduler.run(entries)
+    # Each algorithm gets its own runner (own state store, seed and round
+    # numbering, exactly what ``algorithm.run`` constructs), so the batch is
+    # bit-identical to running the algorithms one by one.  The entries go in
+    # as a generator, so a finished build's runner is freed at once.
+    outcomes = scheduler.run(
+        (algorithm.create_plan(INPUT_PATH), JobRunner.from_profile(hdfs, profile))
+        for algorithm in algorithms)
     stats = scheduler.last_stats
-    results = []
+    measurements = []
     for index, (algorithm, outcome) in enumerate(zip(algorithms, outcomes)):
         if outcome is None:
             # Experiment sweeps need every algorithm's numbers: a plan the
@@ -163,5 +142,10 @@ def _run_scheduled_batch(
                 f"algorithm {algorithm.name!r} failed in the scheduled batch: "
                 f"{stats.job_errors.get(index, 'no recorded error')}"
             )
-        results.append(algorithm.assemble_result(outcome, profile))
-    return results, stats
+        measurement = ExperimentMeasurement.from_result(
+            algorithm.assemble_result(outcome, profile), exact)
+        # The batch-wide scheduler statistics describe the shared slot pool,
+        # not any single algorithm.
+        measurement.details["scheduler_stats"] = stats.describe()
+        measurements.append(measurement)
+    return measurements

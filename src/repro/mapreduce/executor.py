@@ -43,7 +43,6 @@ import logging
 import os
 import time
 from abc import ABC, abstractmethod
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -562,12 +561,12 @@ def translate_task_failure(error: BaseException,
                            executor: "Executor") -> Optional[ExecutorError]:
     """Map a raw task failure to the shared :class:`ExecutorError` diagnosis.
 
-    The one translation used by both the phase path
-    (:meth:`ParallelExecutor.run_tasks`) and the cluster scheduler's
-    per-task collection, so the two execution modes cannot drift in how they
-    report — or recover from — the same worker failure.  A broken pool is
-    closed (discarded) so the executor stays usable.  Returns ``None`` for
-    failures that are not the executor's to explain (caller re-raises).
+    Called only from the pool task handle's ``result()``, which both
+    :meth:`ParallelExecutor.run_tasks` and the cluster scheduler collect
+    through, so the two execution modes cannot drift in how they report — or
+    recover from — the same worker failure.  A broken pool is closed
+    (discarded) so the executor stays usable.  Returns ``None`` for failures
+    that are not the executor's to explain (caller re-raises).
     """
     if isinstance(error, BrokenProcessPool):
         executor.close()
@@ -691,39 +690,42 @@ class _InlineTaskHandle(TaskHandle):
 class _PoolTaskHandle(TaskHandle):
     """A task running in a process pool, with transparent per-task retries.
 
-    The handle owns its attempt loop: when :meth:`completed` observes a
+    The parallel executor's only attempt loop, driven both by
+    :meth:`ParallelExecutor.run_tasks` and by the cluster scheduler through
+    :meth:`ParallelExecutor.submit_task`.  When :meth:`completed` observes a
     retryable failure it resubmits the task (rebuilding a broken pool first)
     and reports the handle as still running; only success or a permanent
     failure completes it.  Retried results are bit-identical because the
-    attempt number never reaches the task's RNG key.
+    attempt number never reaches the task's RNG key.  :meth:`result` is where
+    a pool failure becomes an :class:`ExecutorError`.
+
+    The spec ships into a lent ``arena`` (``run_tasks`` lends one per phase,
+    so a buffer shared by several specs ships once), which its lender
+    releases.  Without one the handle owns a private arena and releases it on
+    its terminal transition (or via ``executor.close()``).
     """
 
     __slots__ = ("executor", "future", "attempt", "generation", "fault",
-                 "arena", "shipped", "_cancelled", "_final_error")
+                 "arena", "owns_arena", "shipped", "_cancelled", "_final_error")
 
-    def __init__(self, executor: "ParallelExecutor", spec: TaskSpec) -> None:
+    def __init__(self, executor: "ParallelExecutor", spec: TaskSpec,
+                 arena: Optional[ShipmentArena] = None) -> None:
         super().__init__(spec)
         self.executor = executor
         self.attempt = 1
         self._cancelled = False
         self._final_error: Optional[BaseException] = None
-        # Per-handle shipment scope: the scheduler dispatches tasks one by
-        # one, so each handle owns the segments of its own spec and releases
-        # them on its terminal transition (or via executor.close()).
-        self.arena: Optional[ShipmentArena] = ShipmentArena()
-        self.shipped = executor._ship_spec(spec, self.arena)
-        if self.shipped is None:
-            self.arena.release()
-            self.arena = None
-        else:
+        self.owns_arena = arena is None
+        self.arena = ShipmentArena() if arena is None else arena
+        if self.owns_arena:
             executor._live_arenas.add(self.arena)
+        self.shipped = executor._ship_spec(spec, self.arena)
         self._submit()
 
     def _release_shipment(self) -> None:
-        if self.arena is not None:
-            arena, self.arena = self.arena, None
-            self.executor._live_arenas.discard(arena)
-            arena.release()
+        if self.owns_arena:
+            self.executor._live_arenas.discard(self.arena)
+            self.arena.release()
 
     def _submit(self) -> None:
         executor = self.executor
@@ -731,8 +733,7 @@ class _PoolTaskHandle(TaskHandle):
         if self.fault == KIND_WORKER_KILL:
             executor._generation_kill_injected = True
         self.generation = executor._generation
-        if self.shipped is not None and not (self.arena is None
-                                             or self.arena.released):
+        if self.shipped is not None and not self.arena.released:
             entry_point: Any = _execute_shipped_task
             argument: Any = self.shipped
         else:
@@ -790,9 +791,15 @@ class _PoolTaskHandle(TaskHandle):
         return False
 
     def result(self) -> TaskResult:
-        if self._final_error is not None:
-            raise self._final_error
-        return self.future.result()
+        try:
+            if self._final_error is not None:
+                raise self._final_error
+            return self.future.result()
+        except BaseException as error:
+            translated = translate_task_failure(error, self.executor)
+            if translated is not None:
+                raise translated from error
+            raise
 
     def cancel(self) -> bool:
         self._cancelled = True
@@ -975,7 +982,8 @@ class ParallelExecutor(Executor):
         self.retry_policy = retry_policy
         self.fault_injector = fault_injector
         self._pool: Optional[ProcessPoolExecutor] = None
-        # Arenas owned by outstanding task handles; released when each handle
+        # Arenas owned by outstanding task handles (never an arena lent by
+        # run_tasks, which releases its own); released when each handle
         # reaches a terminal state, and force-released by close() so no
         # shared-memory segment can outlive the executor.
         self._live_arenas: set = set()
@@ -1062,96 +1070,26 @@ class ParallelExecutor(Executor):
             return [self._run_inline(spec) for spec in specs]
         window = max(1, min(self.max_workers, slots))
         results: List[Optional[TaskResult]] = [None] * len(specs)
-        attempts = [1] * len(specs)
-        # One shipment arena per phase: specs ship once (retries resubmit the
-        # same shipped payload — the segments outlive every attempt) and the
-        # arena unlinks everything at the phase barrier, in the finally below.
+        # One shipment arena per phase, lent to every handle: a buffer shared
+        # by several specs ships once, and retries resubmit the same shipped
+        # payload (the segments outlive every attempt).
         arena = ShipmentArena()
-        shipped: List[Optional[ShippedTask]] = [None] * len(specs)
-        shipped_known = [False] * len(specs)
-        pending = deque(range(len(specs)))
-        in_flight: Dict[Any, Tuple[int, Optional[str]]] = {}
+        in_flight: Dict[TaskHandle, int] = {}
+        submitted = 0
         try:
-            while pending or in_flight:
-                while pending and len(in_flight) < window:
-                    index = pending.popleft()
-                    fault = self._draw_fault(specs[index], attempts[index],
-                                             allow_kill=True)
-                    if fault == KIND_WORKER_KILL:
-                        self._generation_kill_injected = True
-                    if not shipped_known[index]:
-                        shipped[index] = self._ship_spec(specs[index], arena)
-                        shipped_known[index] = True
-                    try:
-                        if shipped[index] is not None:
-                            future = self._ensure_pool().submit(
-                                _execute_shipped_task, shipped[index], fault
-                            )
-                        else:
-                            future = self._ensure_pool().submit(
-                                _execute_faulted_task, specs[index], fault
-                            )
-                    except BrokenProcessPool:
-                        # The pool died between submissions (a sibling's
-                        # injected kill landing mid-phase): this attempt never
-                        # started, so requeue it uncharged and let the
-                        # in-flight futures drive the established recovery; if
-                        # nothing is in flight, rebuild here.
-                        pending.appendleft(index)
-                        if not in_flight:
-                            self._recover_pool(self._generation)
-                        break
-                    in_flight[future] = (index, fault)
-                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index, fault = in_flight.pop(future)
-                    try:
-                        results[index] = future.result()
-                    except BrokenProcessPool as error:
-                        # The pool died: every in-flight task is lost.
-                        # Salvage siblings that already finished, rebuild the
-                        # pool, charge retry budgets (only tasks whose attempt
-                        # carried a kill directive when the break was
-                        # injected), and requeue the lost indices in order.
-                        lost = [(index, fault)]
-                        for other, (other_index, other_fault) in in_flight.items():
-                            if (other.done() and not other.cancelled()
-                                    and other.exception() is None):
-                                results[other_index] = other.result()
-                            else:
-                                lost.append((other_index, other_fault))
-                        in_flight.clear()
-                        self._recover_pool(self._generation)
-                        injected = self._last_break_injected
-                        for lost_index, lost_fault in sorted(lost):
-                            if lost_fault == KIND_WORKER_KILL or not injected:
-                                attempts[lost_index] = self._after_failure(
-                                    specs[lost_index], attempts[lost_index],
-                                    error,
-                                )
-                        for lost_index, _ in sorted(lost, reverse=True):
-                            pending.appendleft(lost_index)
-                        break
-                    except BaseException as error:
-                        policy = self.retry_policy
-                        if policy is not None and policy.is_retryable(error):
-                            attempts[index] = self._after_failure(
-                                specs[index], attempts[index], error
-                            )
-                            pending.appendleft(index)
-                        else:
-                            raise
-        except BaseException as error:
+            while submitted < len(specs) or in_flight:
+                while submitted < len(specs) and len(in_flight) < window:
+                    handle = _PoolTaskHandle(self, specs[submitted], arena)
+                    in_flight[handle] = submitted
+                    submitted += 1
+                for handle in self.wait_any(list(in_flight)):
+                    results[in_flight.pop(handle)] = handle.result()
+        except BaseException:
             # A task failed for good (or the caller was interrupted): don't
             # leave the rest of the phase running in the pool behind our back.
-            for future in in_flight:
-                future.cancel()
-            wait(list(in_flight))
-            # Submit-side serialization failures (the spec never reached a
-            # worker) get the shared diagnosis; anything else re-raises.
-            translated = translate_task_failure(error, self)
-            if translated is not None:
-                raise translated from error
+            for handle in in_flight:
+                handle.cancel()
+            wait([handle.future for handle in in_flight])
             raise
         finally:
             # The phase barrier is the end of every shipped buffer's life:

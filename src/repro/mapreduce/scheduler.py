@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import logging
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import InvalidParameterError, SchedulerError, TaskPermanentError
 from repro.mapreduce.cluster import ClusterSpec
-from repro.mapreduce.executor import Executor, TaskHandle, translate_task_failure
+from repro.mapreduce.executor import Executor, TaskHandle
 from repro.mapreduce.plan import JobPlan, PlanContext
 from repro.mapreduce.runtime import JobRunner, RoundExecution, TaskResult
 from repro.telemetry import Telemetry, active_telemetry
@@ -116,18 +115,27 @@ class _Task:
     enqueued_s: float = 0.0
 
 
+def _take(ready: List[_Task], count: int) -> List[_Task]:
+    """Remove and return up to ``count`` tasks from the front of a FIFO queue."""
+    taken = ready[:count]
+    del ready[:count]
+    return taken
+
+
 class _JobState:
     """Per-plan bookkeeping: the DAG's frontier plus per-stage phase progress."""
 
     def __init__(self, index: int, plan: JobPlan, runner: JobRunner) -> None:
         self.index = index
         self.plan = plan
-        self.runner = runner
+        self.runner: Optional[JobRunner] = runner
         # Offset explicit round numbers past any rounds the runner already
         # ran, exactly as execute_plan does, so RNG keys stay disjoint even
         # on a pre-used runner.
         self.round_base = runner.rounds_started
         self.context: PlanContext = plan.context(runner.hdfs, runner.cluster)
+        # Running stages only: a stage's round and results are dropped at the
+        # barrier that consumes them, so a batch never holds finished shuffles.
         self.rounds: Dict[int, RoundExecution] = {}
         self.started: set = set()
         self.finished_stages: set = set()
@@ -194,12 +202,15 @@ class ClusterScheduler:
         )
 
     # ------------------------------------------------------------------- run
-    def run(self, entries: Sequence[Tuple[JobPlan, JobRunner]]) -> List:
+    def run(self, entries: Iterable[Tuple[JobPlan, JobRunner]]) -> List:
         """Execute every ``(plan, runner)`` entry; outcomes in admission order.
 
         Each plan must come with its *own* runner (own state store and round
         numbering) — sharing a runner between plans would entangle their
-        state and seeds.  Returns each plan's ``finish`` result
+        state and seeds.  A plan's runner is dropped as soon as the plan
+        finishes, so a caller that passes ``entries`` as an iterator (and
+        keeps no runner itself) frees each finished plan's state store before
+        the batch ends.  Returns each plan's ``finish`` result
         (:class:`~repro.algorithms.base.ExecutionOutcome` for algorithm
         plans), in the order the entries were given.
 
@@ -210,25 +221,23 @@ class ClusterScheduler:
         completion with bit-identical results — their tasks, seeds and
         barriers never observe the failure.
         """
-        entries = list(entries)
-        runners = [runner for _, runner in entries]
-        if len(set(map(id, runners))) != len(runners):
+        jobs = [_JobState(index, plan, runner)
+                for index, (plan, runner) in enumerate(entries)]
+        if len({id(job.runner) for job in jobs}) != len(jobs):
             raise SchedulerError("every plan needs its own JobRunner instance")
-        stats = SchedulerStats(jobs=len(entries))
+        stats = SchedulerStats(jobs=len(jobs))
         self.last_stats = stats
-        if not entries:
+        if not jobs:
             return []
         telemetry = active_telemetry(self._telemetry)
         run_started = time.perf_counter()
         logger.debug("scheduling %d plan(s) on %d map / %d reduce slot(s)",
-                     len(entries), self.map_slots, self.reduce_slots)
+                     len(jobs), self.map_slots, self.reduce_slots)
 
-        jobs = [_JobState(index, plan, runner)
-                for index, (plan, runner) in enumerate(entries)]
-        waiting: Deque[int] = deque(range(len(jobs)))
+        admitted = 0
         active: List[int] = []
-        map_ready: Deque[_Task] = deque()
-        reduce_ready: Deque[_Task] = deque()
+        map_ready: List[_Task] = []
+        reduce_ready: List[_Task] = []
         inflight: Dict[TaskHandle, _Task] = {}
         map_in_use = 0
         reduce_in_use = 0
@@ -247,11 +256,13 @@ class ClusterScheduler:
                 time.perf_counter() - task.enqueued_s, phase=task.phase)
 
         def admit_and_start() -> None:
-            # Admission, then DAG advancement: build every ready stage of
-            # every active plan and enqueue its map tasks.
-            while waiting and (self.max_concurrent_jobs is None
-                               or len(active) < self.max_concurrent_jobs):
-                active.append(waiting.popleft())
+            # Admission (in entry order), then DAG advancement: build every
+            # ready stage of every active plan and enqueue its map tasks.
+            nonlocal admitted
+            while admitted < len(jobs) and (self.max_concurrent_jobs is None
+                                            or len(active) < self.max_concurrent_jobs):
+                active.append(admitted)
+                admitted += 1
                 stats.peak_active_jobs = max(stats.peak_active_jobs, len(active))
             for job_index in list(active):
                 job = jobs[job_index]
@@ -263,6 +274,9 @@ class ClusterScheduler:
             if job.done or len(job.finished_stages) != len(job.plan.stages):
                 return
             job.outcome = job.plan.finish(job.context)
+            # The outcome is all that outlives a plan: drop its runner, and
+            # with it the state store its rounds filled.
+            job.runner = None
             job.done = True
             remaining -= 1
             active.remove(job.index)
@@ -280,9 +294,7 @@ class ClusterScheduler:
             stats.failed_jobs += 1
             stats.job_errors[job.index] = str(error)
             for queue in (map_ready, reduce_ready):
-                survivors = [t for t in queue if t.job_index != job.index]
-                queue.clear()
-                queue.extend(survivors)
+                queue[:] = [t for t in queue if t.job_index != job.index]
             for handle, task in list(inflight.items()):
                 if task.job_index == job.index and handle.cancel():
                     del inflight[handle]
@@ -302,8 +314,7 @@ class ClusterScheduler:
             while remaining:
                 admit_and_start()
                 # Fill free slots in FIFO order, one queue per slot kind.
-                while map_ready and map_in_use < self.map_slots:
-                    task = map_ready.popleft()
+                for task in _take(map_ready, self.map_slots - map_in_use):
                     observe_dispatch(task)
                     inflight[self.executor.submit_task(task.spec)] = task
                     map_in_use += 1
@@ -311,8 +322,7 @@ class ClusterScheduler:
                     stats.peak_map_slots_in_use = max(
                         stats.peak_map_slots_in_use, map_in_use)
                     sample_occupancy()
-                while reduce_ready and reduce_in_use < self.reduce_slots:
-                    task = reduce_ready.popleft()
+                for task in _take(reduce_ready, self.reduce_slots - reduce_in_use):
                     observe_dispatch(task)
                     inflight[self.executor.submit_task(task.spec)] = task
                     reduce_in_use += 1
@@ -344,7 +354,7 @@ class ClusterScheduler:
                         # released above, its result is discarded unread.
                         continue
                     try:
-                        result = self._collect(handle)
+                        result = handle.result()
                     except TaskPermanentError as error:
                         fail_job(job, error)
                         continue
@@ -373,7 +383,7 @@ class ClusterScheduler:
 
     # ------------------------------------------------------------- internals
     def _start_stage(self, job: _JobState, stage_index: int,
-                     map_ready: Deque[_Task]) -> None:
+                     map_ready: List[_Task]) -> None:
         """Build a ready stage's round and enqueue its map tasks."""
         job.started.add(stage_index)
         stage = job.plan.stages[stage_index]
@@ -390,13 +400,15 @@ class ClusterScheduler:
                                    task_index, spec, enqueued_s=enqueued))
 
     def _record_task(self, job: _JobState, task: _Task, result: TaskResult,
-                     reduce_ready: Deque[_Task], stats: SchedulerStats) -> None:
+                     reduce_ready: List[_Task], stats: SchedulerStats) -> None:
         """Record one task result; cross a phase barrier when its phase is full."""
         round_execution = job.rounds[task.stage_index]
         phase = job.phase_results[(task.stage_index, task.phase)]
         phase[task.task_index] = result
         if task.phase == MAP_PHASE:
             if len(phase) == round_execution.num_map_tasks:
+                # The map barrier consumes the map results; drop them with it.
+                del job.phase_results[(task.stage_index, MAP_PHASE)]
                 ordered = [phase[i] for i in range(round_execution.num_map_tasks)]
                 reduce_specs = round_execution.complete_map_phase(ordered)
                 job.phase_results[(task.stage_index, REDUCE_PHASE)] = {}
@@ -418,20 +430,15 @@ class ClusterScheduler:
 
     def _finish_stage(self, job: _JobState, stage_index: int,
                       ordered: List[TaskResult], stats: SchedulerStats) -> None:
-        """Cross a stage's reduce barrier: merge, record the result, count the round."""
-        round_execution = job.rounds[stage_index]
+        """Cross a stage's reduce barrier: merge, record the result, count the round.
+
+        The stage's round (its specs) and reduce results are dropped here;
+        only the :class:`JobResult` recorded in the plan context outlives it.
+        """
+        round_execution = job.rounds.pop(stage_index)
+        job.phase_results.pop((stage_index, REDUCE_PHASE), None)
         job_result = round_execution.complete_reduce_phase(ordered)
         stage = job.plan.stages[stage_index]
         job.context.record(stage.name, job_result)
         job.finished_stages.add(stage_index)
         stats.rounds += 1
-
-    def _collect(self, handle: TaskHandle) -> TaskResult:
-        """Fetch one task's result, translating executor failures as run_tasks does."""
-        try:
-            return handle.result()
-        except BaseException as error:
-            translated = translate_task_failure(error, self.executor)
-            if translated is not None:
-                raise translated from error
-            raise

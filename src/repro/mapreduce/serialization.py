@@ -232,11 +232,12 @@ class ShippedTask:
 class ShipmentArena:
     """Coordinator-side owner of the shared-memory segments for one scope.
 
-    One arena serves one shipping scope — a phase's ``run_tasks`` call or one
-    scheduler task handle — and every segment it creates lives exactly until
-    :meth:`release`.  Buffers are de-duplicated by the identity of their
-    exporting object, so an array shipped with N task specs occupies shared
-    memory once (the arena pins the exporters to keep identities stable).
+    One arena serves one shipping scope — a phase's ``run_tasks`` call, which
+    lends it to every task handle of the phase, or one scheduler task handle
+    — and every segment it creates lives exactly until :meth:`release`.
+    Buffers are de-duplicated by the identity of their exporting object, so
+    an array shipped with N task specs occupies shared memory once (the arena
+    pins the exporters to keep identities stable).
     """
 
     def __init__(self, use_shared_memory: bool = True) -> None:

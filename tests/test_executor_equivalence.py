@@ -22,7 +22,8 @@ from repro.algorithms import (
     SendV,
     TwoLevelSampling,
 )
-from repro.mapreduce.cluster import ClusterSpec, MachineSpec
+from repro.mapreduce.api import Mapper, Reducer
+from repro.mapreduce.cluster import ClusterSpec, MachineSpec, paper_cluster
 from repro.mapreduce.executor import (
     ParallelExecutor,
     SerialExecutor,
@@ -30,6 +31,10 @@ from repro.mapreduce.executor import (
     shared_executor,
 )
 from repro.mapreduce.hdfs import HDFS
+from repro.mapreduce.job import MapReduceJob
+from repro.mapreduce.plan import JobPlan, PlanStage
+from repro.mapreduce.runtime import JobRunner
+from repro.mapreduce.scheduler import ClusterScheduler
 from repro.service import RuntimeProfile
 
 U = 256
@@ -55,6 +60,36 @@ def parallel_executor():
     executor = ParallelExecutor(max_workers=4)
     yield executor
     executor.close()
+
+
+def _run_job(runner, job):
+    return runner.run(job)
+
+
+def _schedule_job(runner, job):
+    """Run one job as a one-stage plan, alone in a scheduler batch."""
+    plan = JobPlan(name=job.name, input_path=job.input_path,
+                   stages=(PlanStage("only", lambda context: job),),
+                   finish=lambda context: context.result("only"))
+    scheduler = ClusterScheduler.for_cluster(runner.cluster, runner.executor)
+    return scheduler.run([(plan, runner)])[0]
+
+
+# The two ways a job's tasks reach an executor: a whole phase at a time
+# (run_tasks) or task by task (submit_task / wait_any).
+JOB_PATHS = {"runner.run": _run_job, "scheduler": _schedule_job}
+
+
+class _GeneratorErrorMapper(Mapper):
+    """Fails with a message that looks like a pickling error but is not one."""
+
+    def map(self, record, context):
+        raise TypeError("cannot pickle 'generator' object")
+
+
+class _SumReducer(Reducer):
+    def reduce(self, key, values, context):
+        context.emit(key, sum(values))
 
 
 def _run(algorithm_factory, dataset, cluster, executor):
@@ -105,14 +140,14 @@ def test_parallel_executor_bounded_by_slots(small_dataset, parallel_executor):
 
 def test_unpicklable_job_code_raises_executor_error(parallel_executor):
     """Local classes and lambda partitioners fail with a diagnosis, not a raw
-    pickling traceback, and the pool stays usable afterwards."""
+    pickling traceback, whether the job runs by phase or through the
+    scheduler, and the pool stays usable afterwards."""
     import numpy as np
 
+    from repro.algorithms.base import CONF_DOMAIN, CONF_K
+    from repro.algorithms.send_v import SendVMapper, SendVReducer
     from repro.errors import ExecutorError
-    from repro.mapreduce.api import Mapper, Reducer
-    from repro.mapreduce.cluster import paper_cluster
-    from repro.mapreduce.job import MapReduceJob
-    from repro.mapreduce.runtime import JobRunner
+    from repro.mapreduce.job import JobConfiguration
 
     class LocalMapper(Mapper):
         def map(self, record, context):
@@ -124,33 +159,46 @@ def test_unpicklable_job_code_raises_executor_error(parallel_executor):
 
     hdfs = HDFS()
     hdfs.create_file("/input", np.arange(1, 2001))
-    runner = JobRunner(hdfs, cluster=paper_cluster(split_size_bytes=1000),
-                       executor=parallel_executor)
-    with pytest.raises(ExecutorError, match="partitioner"):
-        runner.run(MapReduceJob(name="bad", input_path="/input",
-                                mapper_class=LocalMapper,
-                                reducer_class=LocalReducer))
-
-    # The sharded shuffle ships the partitioner to workers: a lambda
-    # partitioner on an otherwise-picklable job fails the same way.
-    factory = ALGORITHM_FACTORIES["Send-V"]
     hdfs2 = HDFS()
     hdfs2.create_file("/input", np.arange(1, 2001) % 200 + 1)
-    runner2 = JobRunner(hdfs2, cluster=paper_cluster(split_size_bytes=1000),
-                        executor=parallel_executor)
-    from repro.algorithms.send_v import SendVMapper, SendVReducer
-    from repro.algorithms.base import CONF_DOMAIN, CONF_K
-    from repro.mapreduce.job import JobConfiguration
-    with pytest.raises(ExecutorError):
-        runner2.run(MapReduceJob(
-            name="bad-partitioner", input_path="/input",
-            mapper_class=SendVMapper, reducer_class=SendVReducer,
-            partitioner=lambda key, r: key % r,
-            configuration=JobConfiguration({CONF_DOMAIN: 256, CONF_K: 5}),
-        ))
+    for run_job in JOB_PATHS.values():
+        runner = JobRunner(hdfs, cluster=paper_cluster(split_size_bytes=1000),
+                           executor=parallel_executor)
+        with pytest.raises(ExecutorError, match="partitioner"):
+            run_job(runner, MapReduceJob(name="bad", input_path="/input",
+                                         mapper_class=LocalMapper,
+                                         reducer_class=LocalReducer))
 
-    # The executor survives both failures.
-    assert len(parallel_executor.run_tasks([], slots=4)) == 0
+        # The sharded shuffle ships the partitioner to workers: a lambda
+        # partitioner on an otherwise-picklable job fails the same way.
+        runner2 = JobRunner(hdfs2, cluster=paper_cluster(split_size_bytes=1000),
+                            executor=parallel_executor)
+        with pytest.raises(ExecutorError):
+            run_job(runner2, MapReduceJob(
+                name="bad-partitioner", input_path="/input",
+                mapper_class=SendVMapper, reducer_class=SendVReducer,
+                partitioner=lambda key, r: key % r,
+                configuration=JobConfiguration({CONF_DOMAIN: 256, CONF_K: 5}),
+            ))
+
+        # The executor survives both failures.
+        assert len(parallel_executor.run_tasks([], slots=4)) == 0
+
+
+@pytest.mark.parametrize("path", sorted(JOB_PATHS))
+def test_serial_task_error_reaches_the_caller_unchanged(path):
+    """Nothing is pickled on the serial executor, so a task's own TypeError
+    is never diagnosed as an unpicklable spec, on either path."""
+    import numpy as np
+
+    hdfs = HDFS()
+    hdfs.create_file("/input", np.arange(1, 2001))
+    runner = JobRunner(hdfs, cluster=paper_cluster(split_size_bytes=1000),
+                       executor=SerialExecutor())
+    with pytest.raises(TypeError, match="cannot pickle 'generator' object"):
+        JOB_PATHS[path](runner, MapReduceJob(
+            name="raises", input_path="/input",
+            mapper_class=_GeneratorErrorMapper, reducer_class=_SumReducer))
 
 
 def test_create_executor_names():

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import glob
 import os
+import time
 
 import numpy as np
 import pytest
@@ -41,6 +42,10 @@ from repro.mapreduce.faults import (
     RetryPolicy,
 )
 from repro.mapreduce.hdfs import HDFS
+from repro.mapreduce.serialization import (
+    OOB_THRESHOLD_BYTES,
+    live_shipment_segments,
+)
 from repro.serving.server import QueryServer
 from repro.serving.store import SynopsisStore
 from repro.service import RuntimeProfile, SynopsisService
@@ -54,6 +59,13 @@ EPSILON = 0.05
 # rate=1.0 faults every eligible attempt (draws are in [0, 1), always below
 # the rate), making the forced-failure tests fully deterministic.
 ALWAYS = 1.0
+
+
+def _sleep_then_echo(payload):
+    """Module-level task body: hold a worker for a while, return the index."""
+    index, duration_s, _shared = payload
+    time.sleep(duration_s)
+    return index
 
 
 def _cluster(dataset):
@@ -256,6 +268,50 @@ class TestWorkerKillRecovery:
             executor.close()
 
 
+class TestInnocentBystanders:
+    """A worker kill breaks the whole pool, failing every in-flight task; only
+    the task whose attempt carried the kill is charged a retry."""
+
+    @pytest.mark.parametrize("path", ["run_tasks", "submit_task"])
+    def test_only_the_killed_task_is_charged(self, path):
+        shared = np.arange(OOB_THRESHOLD_BYTES, dtype=np.int64)
+        specs = [FunctionTaskSpec(task_id=index, function=_sleep_then_echo,
+                                  payload=(index, 0.3, shared), zero_copy=True)
+                 for index in range(4)]
+        executor = ParallelExecutor(
+            max_workers=2,
+            retry_policy=RetryPolicy(max_attempts=2),
+            fault_injector=FaultInjector(
+                rate=ALWAYS, seed=1, kill_fraction=1.0, max_faults_per_task=1,
+                selector=lambda spec: spec.task_id == 0))
+        metrics = get_telemetry().metrics
+
+        def retries():
+            return metrics.counter_value("repro_task_retries_total",
+                                         phase="function", reason="worker-died")
+
+        retries_before = retries()
+        rebuilds_before = metrics.counter_value("repro_pool_rebuilds_total")
+        try:
+            if path == "run_tasks":
+                results = executor.run_tasks(specs, slots=2)
+            else:
+                handles = [executor.submit_task(spec) for spec in specs]
+                pending = list(handles)
+                while pending:
+                    done = executor.wait_any(pending)
+                    pending = [handle for handle in pending
+                               if handle not in done]
+                results = [handle.result() for handle in handles]
+            assert [result.pairs[0][1] for result in results] == [0, 1, 2, 3]
+            assert retries() - retries_before == 1
+            assert (metrics.counter_value("repro_pool_rebuilds_total")
+                    - rebuilds_before == 1)
+            assert live_shipment_segments() == ()
+        finally:
+            executor.close()
+
+
 class TestJobFailureIsolation:
     @pytest.mark.parametrize("concurrent_jobs", [1, 2])
     def test_one_failed_job_leaves_siblings_bit_identical(self, tiny_dataset,
@@ -307,8 +363,11 @@ class TestJobFailureIsolation:
             assert (report.result.histogram.coefficients
                     == solo.result.histogram.coefficients)
 
-    def test_experiment_sweep_fails_loudly_on_permanent_failure(self,
-                                                                tiny_dataset):
+    @pytest.mark.parametrize("concurrent_jobs", [1, 2])
+    def test_experiment_sweep_fails_loudly_on_permanent_failure(
+            self, tiny_dataset, concurrent_jobs):
+        """One failure contract at any concurrency: the sweep names the
+        algorithm that failed, even when a sibling was built before it."""
         from repro.errors import SchedulerError
         from repro.experiments.runner import run_algorithms
 
@@ -319,10 +378,11 @@ class TestJobFailureIsolation:
         executor = SerialExecutor(
             retry_policy=RetryPolicy(max_attempts=2), fault_injector=injector)
         profile = RuntimeProfile(cluster=_cluster(tiny_dataset), seed=SEED,
-                                 executor=executor, concurrent_jobs=2)
+                                 executor=executor,
+                                 concurrent_jobs=concurrent_jobs)
         with pytest.raises(SchedulerError,
                            match="'Send-V' failed in the scheduled batch"):
-            run_algorithms(tiny_dataset, [SendV(U, K), SendCoef(U, K)],
+            run_algorithms(tiny_dataset, [SendCoef(U, K), SendV(U, K)],
                            profile=profile)
 
 

@@ -13,6 +13,9 @@ with a single map slot and a single reduce slot) and admission throttling
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.algorithms import (
@@ -28,10 +31,11 @@ from repro.errors import SchedulerError
 from repro.mapreduce.cluster import ClusterSpec, MachineSpec
 from repro.mapreduce.executor import ParallelExecutor, SerialExecutor
 from repro.mapreduce.hdfs import HDFS
+from repro.mapreduce.plan import execute_plan
 from repro.mapreduce.runtime import JobRunner
 from repro.mapreduce.scheduler import ClusterScheduler
 from repro.mapreduce.state import StateStore
-from repro.experiments.runner import run_algorithms
+from repro.experiments.runner import ExperimentMeasurement, run_algorithms
 from repro.service import RuntimeProfile
 
 U = 256
@@ -160,23 +164,31 @@ def test_admission_bound_limits_active_jobs(small_dataset, small_cluster):
 
 def test_run_algorithms_concurrent_matches_sequential(small_dataset,
                                                       small_cluster):
-    """The harness-level entry point: one scheduled batch == the sequential
-    measurement loop, for the full seven-algorithm suite."""
-    algorithms = seven_algorithms()
+    """The harness-level entry point: one scheduled batch, admitting one plan
+    at a time or all seven at once, == an ``algorithm.run`` loop, for the
+    full seven-algorithm suite."""
     reference = small_dataset.frequency_vector()
     profile = RuntimeProfile(cluster=small_cluster, seed=SEED)
-    sequential = run_algorithms(small_dataset, algorithms, reference=reference,
-                                profile=profile)
-    concurrent = run_algorithms(small_dataset, seven_algorithms(),
-                                reference=reference,
-                                profile=profile.with_overrides(concurrent_jobs=7))
-    assert len(sequential) == len(concurrent)
-    for expected, actual in zip(sequential, concurrent):
-        assert expected.algorithm == actual.algorithm
-        assert expected.communication_bytes == actual.communication_bytes
-        assert expected.simulated_time_s == actual.simulated_time_s
-        assert expected.sse == actual.sse
-        assert expected.num_rounds == actual.num_rounds
+    hdfs = HDFS(datanodes=[machine.name for machine in small_cluster.machines])
+    small_dataset.to_hdfs(hdfs, INPUT)
+    sequential = [
+        ExperimentMeasurement.from_result(
+            algorithm.run(hdfs, INPUT, profile=profile), reference)
+        for algorithm in seven_algorithms()
+    ]
+    for concurrent_jobs in (1, 7):
+        scheduled = run_algorithms(
+            small_dataset, seven_algorithms(), reference=reference,
+            profile=profile.with_overrides(concurrent_jobs=concurrent_jobs))
+        assert len(sequential) == len(scheduled)
+        for expected, actual in zip(sequential, scheduled):
+            assert expected.algorithm == actual.algorithm
+            assert expected.communication_bytes == actual.communication_bytes
+            assert expected.simulated_time_s == actual.simulated_time_s
+            assert expected.sse == actual.sse
+            assert expected.num_rounds == actual.num_rounds
+            assert (f"peak-active-jobs={concurrent_jobs} "
+                    in actual.details["scheduler_stats"])
 
 
 def test_profile_concurrent_jobs_drives_the_batch(small_dataset, small_cluster):
@@ -191,6 +203,67 @@ def test_profile_concurrent_jobs_drives_the_batch(small_dataset, small_cluster):
     for expected, actual in zip(sequential, concurrent):
         assert expected.communication_bytes == actual.communication_bytes
         assert expected.sse == actual.sse
+        assert "peak-active-jobs=1 " in expected.details["scheduler_stats"]
+        assert "peak-active-jobs=2 " in actual.details["scheduler_stats"]
+
+
+class _RoundTrackingRunner(JobRunner):
+    """A runner that records, whenever a stage begins, which of the objects
+    in ``round_refs`` (weak references to its earlier rounds) are alive."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.round_refs = []
+        self.alive_at_begin = []
+
+    def begin_round(self, job, splits=None, round_number=None):
+        gc.collect()
+        self.alive_at_begin.append([ref() is not None for ref in self.round_refs])
+        round_execution = super().begin_round(job, splits,
+                                              round_number=round_number)
+        self.round_refs.append(weakref.ref(round_execution))
+        return round_execution
+
+
+@pytest.mark.parametrize("path", ["execute_plan", "scheduler"])
+def test_finished_rounds_are_released_before_the_next_stage(path, small_dataset,
+                                                            small_cluster):
+    """A finished stage's round (its specs and shuffle) is dropped at its
+    reduce barrier on both paths, so a batch never holds earlier rounds."""
+    hdfs = HDFS()
+    small_dataset.to_hdfs(hdfs, INPUT)
+    runner = _RoundTrackingRunner(hdfs, cluster=small_cluster,
+                                  state_store=StateStore(), seed=SEED)
+    plan = HWTopk(U, K).create_plan(INPUT)
+    if path == "execute_plan":
+        execute_plan(plan, runner)
+    else:
+        ClusterScheduler.for_cluster(small_cluster, SerialExecutor()).run(
+            [(plan, runner)])
+    assert runner.alive_at_begin == [[], [False], [False, False]]
+
+
+def test_a_finished_plan_releases_its_runner(small_dataset, small_cluster):
+    """A finished plan's runner, with the state store its rounds filled, is
+    freed when the plan finishes, not when the batch ends."""
+    hdfs = HDFS()
+    small_dataset.to_hdfs(hdfs, INPUT)
+    second = _RoundTrackingRunner(hdfs, cluster=small_cluster,
+                                  state_store=StateStore(), seed=SEED)
+
+    def entries():
+        first = JobRunner(hdfs, cluster=small_cluster,
+                          state_store=StateStore(), seed=SEED)
+        # Watched by the second runner, as if it were one of its rounds.
+        second.round_refs.append(weakref.ref(first))
+        yield HWTopk(U, K).create_plan(INPUT), first
+        del first
+        yield SendV(U, K).create_plan(INPUT), second
+
+    ClusterScheduler.for_cluster(small_cluster, SerialExecutor(),
+                                 max_concurrent_jobs=1).run(entries())
+    # Send-V's only round began after H-WTopk had finished.
+    assert second.alive_at_begin == [[False]]
 
 
 def test_scheduler_rejects_shared_runners(small_dataset, small_cluster):

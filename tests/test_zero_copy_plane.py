@@ -284,6 +284,31 @@ class TestSegmentLifecycle:
             executor.close()
         assert live_shipment_segments() == ()
 
+    def test_phase_ships_a_shared_buffer_once(self):
+        """run_tasks lends one arena to every task of the phase, so a buffer
+        shared by four specs is charged (and written) once, not four times."""
+        shared = np.arange(4096, dtype=np.int64)
+        assert shared.nbytes == 32_768
+        specs = [FunctionTaskSpec(task_id=index, function=_payload_sum,
+                                  payload=shared, zero_copy=True)
+                 for index in range(4)]
+        metrics = get_telemetry().metrics
+
+        def oob_bytes():
+            return metrics.counter_value("repro_task_ship_bytes_total",
+                                         phase="function", mode="out-of-band")
+
+        executor = ParallelExecutor(max_workers=2)
+        try:
+            before = oob_bytes()
+            results = executor.run_tasks(specs, slots=4)
+            assert oob_bytes() - before == 32_768
+            assert [result.pairs[0][1] for result in results] == [
+                float(shared.sum())] * 4
+            assert live_shipment_segments() == ()
+        finally:
+            executor.close()
+
     def test_scheduler_handle_releases_on_completion(self):
         executor = ParallelExecutor(max_workers=2)
         try:
