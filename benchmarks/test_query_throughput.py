@@ -12,9 +12,8 @@ verify the checksum, build the engine, answer.  The measurement itself is
 ``serve-bench`` CLI runs, so the two surfaces cannot drift apart.
 
 Measured series (written to ``benchmarks/results/query_throughput.txt``):
-queries/sec of the scalar loop, the batch engine, and the batch engine with a
-warmed LRU range cache on a zipfian (repeated-range) workload, plus the
-observed speedups and cache hit rate.
+queries/sec of the scalar loop and the batch engine, the observed speedup,
+and the engine's p50/p99 latency per 256-query batch.
 """
 
 from __future__ import annotations
@@ -42,14 +41,8 @@ def test_query_throughput(experiment_config, tmp_path):
                           seed=config.seed)
     served = store.load("fig10-anchor", metadata.version)
 
-    # Primary comparison on the mixed workload; the cached pass replays a
-    # zipfian mix, the repeated-range regime the LRU cache exists for.
     report = measure_serving_throughput(
-        served,
-        config.build_workload(count=NUM_QUERIES, mix="mixed"),
-        cache_size=config.query_cache_size,
-        cached_workload=config.build_workload(count=NUM_QUERIES, mix="zipfian"),
-    )
+        served, config.build_workload(count=NUM_QUERIES, mix="mixed"))
 
     header = (
         f"workload: {NUM_QUERIES} mixed range queries over the fig10 anchor "

@@ -32,8 +32,8 @@ Ten sub-commands are provided::
 
     python -m repro serve-bench [--quick] [--count N] [--mix mixed]
         Measure serving throughput: the vectorized batch engine versus the
-        scalar per-query loop (plus the cached path), verifying on the way
-        that both agree to within 1e-9.
+        scalar per-query loop, verifying on the way that both agree to within
+        1e-9.
 
     python -m repro ingest --store DIR --name NAME [--u 4096] [--batches 8]
         Stream generated insert/delete batches into a stored synopsis: each
@@ -260,9 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--store", default=None, metavar="DIR",
                        help="persist/reload the synopsis through this store "
                             "(default: a temporary store)")
-    bench.add_argument("--cache", type=int, default=None,
-                       help="LRU range-cache capacity for the cached pass "
-                            "(default: configuration query_cache_size)")
     _add_telemetry_arguments(bench)
 
     serve = subparsers.add_parser(
@@ -611,7 +608,6 @@ def _run_serve_bench(arguments: argparse.Namespace) -> List[str]:
     config = _configuration(arguments.quick)
     count = arguments.count if arguments.count is not None else config.num_queries
     mix = arguments.mix if arguments.mix is not None else config.query_mix
-    cache_size = arguments.cache if arguments.cache is not None else config.query_cache_size
 
     dataset = config.build_dataset()
     reference = dataset.frequency_vector()
@@ -629,7 +625,7 @@ def _run_serve_bench(arguments: argparse.Namespace) -> List[str]:
     served = store.load("serve-bench", metadata.version)
     workload = config.build_workload(count=count, mix=mix)
 
-    report = measure_serving_throughput(served, workload, cache_size=cache_size)
+    report = measure_serving_throughput(served, workload)
 
     # The synopsis was built exact, so its served total must match the data.
     total = served.engine().estimated_total()

@@ -221,8 +221,9 @@ class WaveletHistogram:
 
     # ------------------------------------------------------------------ dunder
     def __getstate__(self) -> Dict[str, object]:
-        # The cached query engine holds a lock and is cheap to rebuild; keep
-        # histograms picklable (tasks ship across processes) by dropping it.
+        # The memoised query engine is cheap to rebuild from the coefficients;
+        # drop it so a pickled histogram (tasks ship across processes)
+        # carries only the synopsis itself.
         state = self.__dict__.copy()
         state.pop("_engine", None)
         return state

@@ -86,8 +86,6 @@ class ExperimentConfig:
         query_mix: workload mix served by the query benchmarks
             (one of :data:`repro.serving.workload.MIX_NAMES`).
         num_queries: queries per generated serving workload.
-        query_cache_size: LRU range-cache capacity of serving engines
-            (0 disables caching).
     """
 
     u: int = 2 ** 15
@@ -111,7 +109,6 @@ class ExperimentConfig:
     store_path: Optional[str] = None
     query_mix: str = "mixed"
     num_queries: int = 10_000
-    query_cache_size: int = 4096
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.target_splits < 1:
@@ -140,8 +137,6 @@ class ExperimentConfig:
             )
         if self.num_queries < 1:
             raise InvalidParameterError("num_queries must be positive")
-        if self.query_cache_size < 0:
-            raise InvalidParameterError("query_cache_size must be >= 0")
 
     def build_profile(self, cluster: Optional[ClusterSpec] = None) -> RuntimeProfile:
         """The :class:`~repro.service.profile.RuntimeProfile` this configuration selects.

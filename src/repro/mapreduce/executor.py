@@ -527,23 +527,6 @@ def execute_function_task(spec: FunctionTaskSpec) -> TaskResult:
 TaskSpec = Union[MapTaskSpec, ReduceTaskSpec, FunctionTaskSpec]
 
 
-def _is_pickling_failure(error: BaseException) -> bool:
-    """Whether an exception is a (submit-side) task-spec serialization failure.
-
-    ``multiprocessing`` surfaces these as :class:`pickle.PicklingError`, or as
-    ``AttributeError``/``TypeError`` with a "can't pickle" message when the
-    payload holds a local class or closure.
-    """
-    import pickle
-
-    if isinstance(error, pickle.PicklingError):
-        return True
-    if isinstance(error, (AttributeError, TypeError)):
-        message = str(error).lower()
-        return "pickle" in message
-    return False
-
-
 _WORKER_DIED_MESSAGE = (
     "a worker process died while executing tasks; this usually means the "
     "job's mapper/reducer/combiner or an emitted value is not picklable "
@@ -566,13 +549,14 @@ def translate_task_failure(error: BaseException,
     through, so the two execution modes cannot drift in how they report — or
     recover from — the same worker failure.  A broken pool is closed
     (discarded) so the executor stays usable.  Returns ``None`` for failures
-    that are not the executor's to explain (caller re-raises).
+    that are not the executor's to explain (caller re-raises): a task's own
+    exception reaches the caller unchanged, whatever its message says.  (A
+    spec that does not pickle never gets here; the handle refuses it before
+    submission.)
     """
     if isinstance(error, BrokenProcessPool):
         executor.close()
         return ExecutorError(_WORKER_DIED_MESSAGE)
-    if _is_pickling_failure(error):
-        return ExecutorError(_UNPICKLABLE_SPEC_MESSAGE)
     return None
 
 
@@ -702,7 +686,9 @@ class _PoolTaskHandle(TaskHandle):
     The spec ships into a lent ``arena`` (``run_tasks`` lends one per phase,
     so a buffer shared by several specs ships once), which its lender
     releases.  Without one the handle owns a private arena and releases it on
-    its terminal transition (or via ``executor.close()``).
+    its terminal transition (or via ``executor.close()``).  A spec that does
+    not pickle raises :class:`ExecutorError` from the constructor and never
+    reaches the pool.
     """
 
     __slots__ = ("executor", "future", "attempt", "generation", "fault",
@@ -719,7 +705,11 @@ class _PoolTaskHandle(TaskHandle):
         self.arena = ShipmentArena() if arena is None else arena
         if self.owns_arena:
             executor._live_arenas.add(self.arena)
-        self.shipped = executor._ship_spec(spec, self.arena)
+        try:
+            self.shipped = executor._ship_spec(spec, self.arena)
+        except ExecutorError:
+            self._release_shipment()
+            raise
         self._submit()
 
     def _release_shipment(self) -> None:
@@ -1010,19 +1000,24 @@ class ParallelExecutor(Executor):
         """Ship one spec out-of-band, or account the reference path.
 
         Returns the :class:`ShippedTask` to submit when the spec opted into
-        zero-copy shipping, ``None`` when the spec should travel through the
-        pool's own (copying) pickler — either because ``zero_copy`` is off or
-        because shipping failed (an unpicklable spec falls back so the pool
-        surfaces the established diagnosis).  Either way the shipped bytes
-        are charged to ``repro_task_ship_bytes_total{phase,mode}``.
+        zero-copy shipping, ``None`` when ``zero_copy`` is off and the spec
+        travels through the pool's own (copying) pickler.  Either way the
+        spec is pickled here first and the shipped bytes are charged to
+        ``repro_task_ship_bytes_total{phase,mode}``.
+
+        Raises:
+            ExecutorError: the spec does not pickle.  Only this coordinator-
+                side pickling diagnoses an unpicklable spec, so an exception
+                a task raises in its worker is never mistaken for one,
+                whatever its message says.
         """
         phase = _spec_phase(spec)
         metrics = get_telemetry().metrics
         if getattr(spec, "zero_copy", True):
             try:
                 shipped = arena.ship(spec)
-            except Exception:
-                return None
+            except Exception as error:
+                raise ExecutorError(_UNPICKLABLE_SPEC_MESSAGE) from error
             if shipped.oob_bytes:
                 metrics.inc("repro_task_ship_bytes_total",
                             float(shipped.oob_bytes),
@@ -1033,8 +1028,8 @@ class ParallelExecutor(Executor):
             return shipped
         try:
             reference_bytes = pickled_task_bytes(spec)
-        except Exception:
-            return None
+        except Exception as error:
+            raise ExecutorError(_UNPICKLABLE_SPEC_MESSAGE) from error
         metrics.inc("repro_task_ship_bytes_total", float(reference_bytes),
                     phase=phase, mode=SHIP_MODE_PICKLED)
         return None

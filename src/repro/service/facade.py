@@ -28,8 +28,8 @@ caller wired them together by hand.  The service is the one seam:
   profile's executor (:class:`~repro.streaming.ingest.StreamIngestor`) and
   folded into new delta-published store versions by a per-stream
   :class:`~repro.streaming.maintain.SynopsisMaintainer` (or its
-  sliding-window variant), with the server's caches refreshed on every
-  publish so queries see new versions immediately.
+  sliding-window variant), with the server's engine table refreshed on
+  every publish so queries see new versions immediately.
 
 The service layers strictly on public seams (registry, profile, store,
 server, executor); it adds no new math and therefore no new numerics — every
@@ -65,6 +65,13 @@ __all__ = ["AlgorithmSpec", "BuildReport", "BuildRequest", "SynopsisService"]
 logger = logging.getLogger(__name__)
 
 SERVICE_INPUT_PATH = "/service/input"
+
+
+def _input_hdfs(dataset: Dataset) -> HDFS:
+    """A fresh simulated HDFS holding ``dataset`` at the service input path."""
+    hdfs = HDFS()
+    dataset.to_hdfs(hdfs, SERVICE_INPUT_PATH)
+    return hdfs
 
 
 @dataclass(frozen=True)
@@ -157,7 +164,6 @@ class SynopsisService:
             in-memory store when omitted.
         profile: default :class:`RuntimeProfile` for builds and for the
             query fan-out's executor (a serial-executor profile when omitted).
-        cache_size: per-synopsis LRU range-cache capacity.
         shard_size: maximum queries per fan-out task (and the server's
             single-synopsis sharding threshold).
         max_synopses: LRU bound on concurrently materialised synopses.
@@ -168,7 +174,6 @@ class SynopsisService:
         store: Optional[SynopsisStore] = None,
         *,
         profile: Optional[RuntimeProfile] = None,
-        cache_size: int = 4096,
         shard_size: int = 8192,
         max_synopses: Optional[int] = 64,
     ) -> None:
@@ -179,7 +184,6 @@ class SynopsisService:
         self.shard_size = shard_size
         self.server = QueryServer(
             self.store,
-            cache_size=cache_size,
             shard_size=shard_size,
             max_synopses=max_synopses,
             zero_copy=self.profile.zero_copy,
@@ -217,9 +221,8 @@ class SynopsisService:
             algorithm = AlgorithmSpec(algorithm)
         if isinstance(algorithm, AlgorithmSpec):
             algorithm = algorithm.create(default_u=dataset.u)
-        hdfs = HDFS()
-        dataset.to_hdfs(hdfs, SERVICE_INPUT_PATH)
-        result = algorithm.run(hdfs, SERVICE_INPUT_PATH, profile=profile)
+        result = algorithm.run(_input_hdfs(dataset), SERVICE_INPUT_PATH,
+                               profile=profile)
         metadata = result.publish(
             self.store, name=name, seed=profile.seed,
             extra_build={"dataset": dataset.name},
@@ -266,7 +269,8 @@ class SynopsisService:
                     f"dataset[, name]) tuples, got {request!r}"
                 )
 
-        entries = []
+        # Algorithms are created up front, so a bad request fails before
+        # anything runs.
         algorithms: List[HistogramAlgorithm] = []
         for request in normalized:
             algorithm = request.algorithm
@@ -274,22 +278,24 @@ class SynopsisService:
                 algorithm = AlgorithmSpec(algorithm)
             if isinstance(algorithm, AlgorithmSpec):
                 algorithm = algorithm.create(default_u=request.dataset.u)
-            hdfs = HDFS()
-            request.dataset.to_hdfs(hdfs, SERVICE_INPUT_PATH)
-            entries.append((algorithm.create_plan(SERVICE_INPUT_PATH),
-                            JobRunner.from_profile(hdfs, profile)))
             algorithms.append(algorithm)
 
         telemetry = active_telemetry(profile.telemetry)
         logger.debug("scheduling %d build(s), %d in flight",
-                     len(entries), profile.concurrent_jobs)
+                     len(normalized), profile.concurrent_jobs)
         scheduler = ClusterScheduler.for_cluster(
             profile.resolved_cluster(), profile.build_executor(),
             max_concurrent_jobs=profile.concurrent_jobs,
             telemetry=profile.telemetry)
         with telemetry.tracer.span("service.build_many", kind="serving",
-                                   builds=len(entries), jobs=profile.concurrent_jobs):
-            outcomes = scheduler.run(entries)
+                                   builds=len(normalized), jobs=profile.concurrent_jobs):
+            # The entries go in as a generator, so this frame keeps no runner:
+            # the scheduler drops each build's runner, and the state store its
+            # rounds filled, as soon as that build finishes.
+            outcomes = scheduler.run(
+                (algorithm.create_plan(SERVICE_INPUT_PATH),
+                 JobRunner.from_profile(_input_hdfs(request.dataset), profile))
+                for request, algorithm in zip(normalized, algorithms))
         stats = scheduler.last_stats
 
         reports: List[BuildReport] = []
@@ -466,8 +472,8 @@ class SynopsisService:
         The batch is counted into a partial through the profile's executor
         (large batches shard across it) and handed to the stream's
         maintainer, which publishes a delta version whenever the cadence
-        fills (every epoch, for windowed streams).  The server's caches are
-        refreshed on publish so subsequent queries see the new version.
+        fills (every epoch, for windowed streams).  The server's engine table
+        is refreshed on publish so subsequent queries see the new version.
 
         Returns the metadata of a publish this batch triggered, else ``None``.
         """

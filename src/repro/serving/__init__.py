@@ -7,7 +7,7 @@ throughput.  It provides:
 
 * :class:`~repro.serving.engine.BatchQueryEngine` — a vectorized error-tree
   evaluator that answers thousands of queries per numpy pass instead of one
-  query per Python loop, with an optional LRU cache for repeated ranges;
+  query per Python loop;
 * :class:`~repro.serving.store.SynopsisStore` — a persistent, versioned,
   checksummed on-disk catalog of built synopses with lazy loading;
 * :class:`~repro.serving.server.QueryServer` — a thread-safe front end that

@@ -7,8 +7,9 @@ of each ``(name, version)`` actually live.  Two backends ship:
 
 ``DirectoryBackend``
     The original on-disk layout: ``<root>/<name>/v<NNNNN>/{meta.json,
-    synopsis.bin}`` plus a best-effort ``catalog.json`` summary, published by
-    atomic directory rename so readers never observe a half-written version.
+    synopsis.bin}``, published by atomic directory rename so readers never
+    observe a half-written version.  The per-version metadata is the only
+    catalog: listings read it, and no summary file is derived from it.
 
 ``MemoryBackend``
     The same catalog semantics held in process memory — byte-identical
@@ -26,7 +27,6 @@ per backend (the simulated cluster's "master"); concurrent readers are safe.
 
 from __future__ import annotations
 
-import logging
 import mmap
 import os
 import re
@@ -36,8 +36,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import InvalidParameterError, SynopsisNotFoundError
 from repro.telemetry import get_telemetry
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "META_FILENAME",
@@ -52,7 +50,6 @@ NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 _VERSION_PATTERN = re.compile(r"^v(\d{5})$")
 META_FILENAME = "meta.json"
 PAYLOAD_FILENAME = "synopsis.bin"
-CATALOG_FILENAME = "catalog.json"
 
 
 class StoreBackend(ABC):
@@ -113,11 +110,6 @@ class StoreBackend(ABC):
         Raises:
             InvalidParameterError: the version already exists (append-only).
         """
-
-    @abstractmethod
-    def write_catalog(self, text: str) -> None:
-        """Persist the human-readable catalog summary (genuinely best effort:
-        the catalog is derived data, so failures must not propagate)."""
 
     def location(self, name: str, version: int) -> Optional[str]:
         """Filesystem path of a version, for backends that have one."""
@@ -236,20 +228,6 @@ class DirectoryBackend(StoreBackend):
             handle.write(metadata_text)
         os.replace(staging_dir, final_dir)
 
-    def write_catalog(self, text: str) -> None:
-        try:
-            path = os.path.join(self.root, CATALOG_FILENAME)
-            staging = path + ".tmp"
-            with open(staging, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(staging, path)
-        except OSError as error:
-            # Derived data only; an unwritable root must not fail the save —
-            # but warn, so operators can see the summary drifting from the
-            # authoritative per-version metadata.
-            logger.warning("catalog.json write failed under %s (summary may "
-                           "be stale): %s", self.root, error)
-
 
 class MemoryBackend(StoreBackend):
     """An in-process catalog: the directory layout's semantics, no disk.
@@ -266,7 +244,6 @@ class MemoryBackend(StoreBackend):
         self._lock = threading.Lock()
         # name -> version -> (metadata document, payload bytes)
         self._entries: Dict[str, Dict[int, Tuple[str, bytes]]] = {}
-        self._catalog: Optional[str] = None
 
     def describe(self) -> str:
         return "memory"
@@ -306,13 +283,3 @@ class MemoryBackend(StoreBackend):
                     f"synopsis {name!r} version {version} already exists"
                 )
             versions[version] = (metadata_text, bytes(payload))
-
-    def write_catalog(self, text: str) -> None:
-        with self._lock:
-            self._catalog = text
-
-    @property
-    def catalog_text(self) -> Optional[str]:
-        """The last written catalog summary (what ``catalog.json`` would hold)."""
-        with self._lock:
-            return self._catalog

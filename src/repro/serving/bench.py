@@ -2,8 +2,8 @@
 
 Both user-facing surfaces that report queries/sec — the ``serve-bench`` CLI
 command and ``benchmarks/test_query_throughput.py`` — run this one harness,
-so the warm-up protocol, the scalar baseline, the 1e-9 agreement bound and
-the cache accounting cannot drift apart.  The harness always measures a
+so the warm-up protocol, the scalar baseline and the 1e-9 agreement bound
+cannot drift apart.  The harness always measures a
 synopsis *after* a store round trip (a :class:`~repro.serving.store.StoredSynopsis`),
 because that is the path a serving process executes: load, verify checksum,
 build the engine, answer.
@@ -33,23 +33,19 @@ AGREEMENT_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class ThroughputReport:
-    """One serving-throughput measurement: scalar loop vs batch vs cached batch.
+    """One serving-throughput measurement: scalar loop vs batch engine.
 
     Attributes:
         queries: queries per measured pass.
         mix: workload mix of the primary (scalar vs batch) comparison.
         scalar_seconds: wall-clock of the legacy per-query coefficient loop.
-        batch_seconds: best wall-clock of a few warmed, uncached vectorized
-            passes (a single milliseconds-long pass is scheduler-noise bound).
+        batch_seconds: best wall-clock of a few warmed vectorized passes (a
+            single milliseconds-long pass is scheduler-noise bound).
         max_abs_difference: worst |batch - scalar| (verified <= atol).
-        cached_seconds: best wall-clock of a few warmed LRU-cached passes over
-            ``cached_mix`` (``None`` when caching was disabled).
-        cached_mix: workload mix the cached pass replayed.
-        cache_info: the cached engine's statistics after measurement.
         latency_batch_size: queries per sub-batch of the latency pass.
         latency_p50_ms / latency_p99_ms: median and 99th-percentile wall-clock
-            of one ``latency_batch_size``-query batch through the uncached
-            engine — the per-request latency a serving process would see at
+            of one ``latency_batch_size``-query batch through the engine — the
+            per-request latency a serving process would see at
             that batch size (``None`` when the workload was too small to
             form a batch).
         payload_mmap_total: mmap'd payload loads made during the call
@@ -66,9 +62,6 @@ class ThroughputReport:
     scalar_seconds: float
     batch_seconds: float
     max_abs_difference: float
-    cached_seconds: Optional[float] = None
-    cached_mix: Optional[str] = None
-    cache_info: Optional[Dict[str, int]] = None
     latency_batch_size: Optional[int] = None
     latency_p50_ms: Optional[float] = None
     latency_p99_ms: Optional[float] = None
@@ -85,12 +78,6 @@ class ThroughputReport:
         return self.queries / self.batch_seconds if self.batch_seconds else float("inf")
 
     @property
-    def cached_qps(self) -> Optional[float]:
-        if self.cached_seconds is None:
-            return None
-        return self.queries / self.cached_seconds if self.cached_seconds else float("inf")
-
-    @property
     def speedup(self) -> float:
         """Batch engine speedup over the scalar loop."""
         return self.scalar_seconds / self.batch_seconds if self.batch_seconds else float("inf")
@@ -104,18 +91,6 @@ class ThroughputReport:
             f"{'scalar loop':<16} {self.scalar_qps:>14,.0f} {1.0:>9.1f}",
             f"{'batch engine':<16} {self.batch_qps:>14,.0f} {self.speedup:>9.1f}",
         ]
-        if self.cached_qps is not None and self.cache_info is not None:
-            suffix = (f"  ({self.cached_mix} workload)"
-                      if self.cached_mix != self.mix else "")
-            lines.append(
-                f"{'batch + cache':<16} {self.cached_qps:>14,.0f} "
-                f"{self.scalar_seconds / self.cached_seconds:>9.1f}{suffix}"
-            )
-            hits, misses = self.cache_info["hits"], self.cache_info["misses"]
-            lines.append(
-                f"cache: capacity {self.cache_info['capacity']}, hit rate "
-                f"{hits / (hits + misses):.1%} ({hits} hits / {misses} misses)"
-            )
         if self.latency_p50_ms is not None:
             lines.append(
                 f"latency per {self.latency_batch_size}-query batch: "
@@ -143,27 +118,21 @@ def measure_serving_throughput(
     served: StoredSynopsis,
     workload: QueryWorkload,
     *,
-    cache_size: int = 0,
-    cached_workload: Optional[QueryWorkload] = None,
     latency_batch_size: int = 256,
     atol: float = AGREEMENT_ATOL,
 ) -> ThroughputReport:
-    """Measure one stored synopsis: scalar loop vs batch engine (vs cached).
+    """Measure one stored synopsis: scalar loop vs batch engine.
 
     Args:
         served: the store-round-tripped synopsis to serve.
         workload: the queries timed for the scalar-vs-batch comparison.
-        cache_size: LRU capacity for the cached pass (0 skips it).
-        cached_workload: queries for the cached pass (defaults to
-            ``workload``; pass a zipfian mix to measure the repeated-range
-            regime the cache exists for).
         latency_batch_size: sub-batch size of the per-batch latency pass
             (p50/p99 over one timed engine call per sub-batch; 0 skips it).
         atol: scalar/batch agreement bound.
 
     Raises:
         ServingError: if the batch engine disagrees with the scalar loop
-            beyond ``atol``, or a cached pass disagrees with an uncached one.
+            beyond ``atol``.
     """
     # The registry is process-wide: report only what this call adds to it.
     registry = get_telemetry().metrics
@@ -175,7 +144,7 @@ def measure_serving_throughput(
     scalar = np.array([histogram.range_sum_scalar(lo, hi) for lo, hi in workload])
     scalar_seconds = time.perf_counter() - start
 
-    engine = served.engine(cache_size=0)
+    engine = served.engine()
     engine.range_sum_many(workload.los[:8], workload.his[:8])  # warm numpy dispatch
     # A vectorized pass over the whole workload takes only milliseconds, so a
     # single timing is at the mercy of scheduler noise; report the best of a
@@ -191,22 +160,6 @@ def measure_serving_throughput(
         raise ServingError(
             f"batch engine disagrees with the scalar loop: max |diff| = {worst:.3e}"
         )
-
-    cached_seconds = None
-    cache_info = None
-    replay = None
-    if cache_size > 0:
-        replay = cached_workload if cached_workload is not None else workload
-        cached_engine = served.engine(cache_size=cache_size)
-        cached_engine.range_sum_many(replay.los, replay.his)  # warm the cache
-        cached_seconds = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            cached = cached_engine.range_sum_many(replay.los, replay.his)
-            cached_seconds = min(cached_seconds, time.perf_counter() - start)
-        if not np.array_equal(cached, engine.range_sum_many(replay.los, replay.his)):
-            raise ServingError("cached results differ from uncached results")
-        cache_info = cached_engine.cache_info()
 
     latency_p50_ms = None
     latency_p99_ms = None
@@ -253,9 +206,6 @@ def measure_serving_throughput(
         scalar_seconds=scalar_seconds,
         batch_seconds=batch_seconds,
         max_abs_difference=worst,
-        cached_seconds=cached_seconds,
-        cached_mix=replay.mix if replay is not None else None,
-        cache_info=cache_info,
         latency_batch_size=latency_batch_size if latency_p50_ms is not None else None,
         latency_p50_ms=latency_p50_ms,
         latency_p99_ms=latency_p99_ms,

@@ -26,19 +26,17 @@ per-query Python loop (see ``benchmarks/test_query_throughput.py``) while
 remaining numerically identical to it within ``1e-9``.
 
 Large batches are processed in blocks of :attr:`BatchQueryEngine.block_size`
-queries to bound peak memory.  An optional LRU cache memoises repeated
-``(lo, hi)`` ranges — zipfian query workloads repeat a small hot set of
-ranges, and a cache hit skips the numpy pass entirely.  All public methods
-are thread-safe: evaluation only reads immutable arrays, and the cache is
-guarded by a lock.
+queries to bound peak memory.  That is the only evaluation path: no per-range
+memo sits in front of it, because at the paper's ``k = 30`` one numpy pass
+over a batch costs less than looking its ranges up in a Python dict would.
+The engine holds no mutable state after construction, so every public
+method is thread-safe without a lock.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -86,7 +84,6 @@ class BatchQueryEngine:
             internal zero-copy form :meth:`from_arrays` uses — an already
             conforming ``(indices, values)`` array pair adopted as read-only
             views without copying.
-        cache_size: capacity of the LRU range cache; ``0`` disables caching.
         block_size: maximum queries evaluated per numpy pass (bounds the
             ``(block, k)`` working set).
     """
@@ -96,7 +93,6 @@ class BatchQueryEngine:
         u: int,
         coefficients: Union[Mapping[int, float], Tuple[np.ndarray, np.ndarray]],
         *,
-        cache_size: int = 0,
         block_size: int = 65536,
     ) -> None:
         if isinstance(coefficients, tuple):
@@ -118,13 +114,10 @@ class BatchQueryEngine:
             indices = np.array([i for i, _ in items], dtype=np.int64)  # reprolint: disable=hot-path-copy
             values = np.array([w for _, w in items], dtype=np.float64)  # reprolint: disable=hot-path-copy
         validate_domain(u)
-        if cache_size < 0:
-            raise InvalidParameterError(f"cache_size must be >= 0, got {cache_size}")
         if block_size < 1:
             raise InvalidParameterError(f"block_size must be positive, got {block_size}")
         self.u = u
         self.block_size = block_size
-        self.cache_size = cache_size
 
         if indices.size and (indices[0] < 1 or indices[-1] > u):
             bad = indices[0] if indices[0] < 1 else indices[-1]
@@ -151,27 +144,18 @@ class BatchQueryEngine:
         self._mid = self._slo + self._half - 1
         self._scale = 1.0 / np.sqrt(width.astype(np.float64))
 
-        self._lock = threading.Lock()
-        self._cache: Optional[OrderedDict[Tuple[int, int], float]] = (
-            OrderedDict() if cache_size > 0 else None
-        )
-        self.cache_hits = 0
-        self.cache_misses = 0
-
     # ------------------------------------------------------------ construction
     @classmethod
     def from_histogram(
-        cls, histogram: "WaveletHistogram", *, cache_size: int = 0,
-        block_size: int = 65536,
+        cls, histogram: "WaveletHistogram", *, block_size: int = 65536,
     ) -> "BatchQueryEngine":
         """Build an engine over a histogram's retained coefficients."""
-        return cls(histogram.u, histogram.coefficients, cache_size=cache_size,
-                   block_size=block_size)
+        return cls(histogram.u, histogram.coefficients, block_size=block_size)
 
     @classmethod
     def from_arrays(
         cls, u: int, indices: ArrayLike, values: Iterable[float], *,
-        cache_size: int = 0, block_size: int = 65536,
+        block_size: int = 65536,
     ) -> "BatchQueryEngine":
         """Build an engine from parallel index/value arrays (the pickled shard form).
 
@@ -199,8 +183,7 @@ class BatchQueryEngine:
                 and value_array.flags.c_contiguous
                 and bool(np.all(np.diff(index_array) > 0))
                 and not bool(np.any(value_array == 0.0))):
-            return cls(u, (index_array, value_array),
-                       cache_size=cache_size, block_size=block_size)
+            return cls(u, (index_array, value_array), block_size=block_size)
         if np.unique(index_array).size != index_array.size:
             counts = np.unique(index_array, return_counts=True)
             duplicated = counts[0][counts[1] > 1]
@@ -211,7 +194,7 @@ class BatchQueryEngine:
         mapping: Dict[int, float] = {
             int(i): float(w) for i, w in zip(index_array, value_array)
         }
-        return cls(u, mapping, cache_size=cache_size, block_size=block_size)
+        return cls(u, mapping, block_size=block_size)
 
     # -------------------------------------------------------------- properties
     @property
@@ -243,10 +226,7 @@ class BatchQueryEngine:
         if los.size == 0:
             return np.zeros(0, dtype=np.float64)
         started = time.perf_counter()
-        if self._cache is None:
-            result = self._evaluate_blocks(los, his)
-        else:
-            result = self._evaluate_cached(los, his)
+        result = self._evaluate_blocks(los, his)
         get_telemetry().metrics.observe(
             "repro_serving_batch_seconds", time.perf_counter() - started,
             op="range_sum")
@@ -292,23 +272,6 @@ class BatchQueryEngine:
         """
         denominator = self.estimated_total() if total is None else float(total)
         return normalize_selectivities(self.range_sum_many(los, his), denominator)
-
-    # ------------------------------------------------------------------ cache
-    def cache_info(self) -> Dict[str, int]:
-        """Current LRU cache statistics (all zeros when caching is disabled)."""
-        with self._lock:
-            return {
-                "capacity": self.cache_size,
-                "size": len(self._cache) if self._cache is not None else 0,
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-            }
-
-    def cache_clear(self) -> None:
-        """Drop all cached ranges (statistics are kept)."""
-        with self._lock:
-            if self._cache is not None:
-                self._cache.clear()
 
     def validate_ranges(self, los: ArrayLike, his: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
         """Canonicalise and bounds-check a range batch without evaluating it.
@@ -378,48 +341,3 @@ class BatchQueryEngine:
             )
             result += ((d_pos - d_neg) * self._scale) @ self._detail_values
         return result
-
-    def _evaluate_cached(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-        pairs = np.stack([los, his], axis=1)
-        unique, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        inverse = np.reshape(inverse, -1)
-        occurrences = np.bincount(inverse, minlength=unique.shape[0])
-        unique_results = np.empty(unique.shape[0], dtype=np.float64)
-        cache = self._cache
-        assert cache is not None
-        batch_hits = 0
-        batch_misses = 0
-        with self._lock:
-            miss_rows = []
-            for row, (lo, hi) in enumerate(zip(unique[:, 0], unique[:, 1])):
-                cached = cache.get((int(lo), int(hi)))
-                if cached is not None:
-                    cache.move_to_end((int(lo), int(hi)))
-                    unique_results[row] = cached
-                    batch_hits += int(occurrences[row])
-                else:
-                    miss_rows.append(row)
-                    # The first occurrence computes; the rest of the batch's
-                    # occurrences of the same range reuse it within the pass.
-                    batch_misses += 1
-                    batch_hits += int(occurrences[row]) - 1
-            self.cache_hits += batch_hits
-            self.cache_misses += batch_misses
-        registry = get_telemetry().metrics
-        if batch_hits:
-            registry.inc("repro_serving_cache_hits_total", batch_hits)
-        if batch_misses:
-            registry.inc("repro_serving_cache_misses_total", batch_misses)
-        if miss_rows:
-            # Evaluate misses outside the lock so concurrent batches overlap
-            # their numpy work; evaluation is a pure function of the range, so
-            # two threads racing on the same miss insert identical values.
-            rows = np.asarray(miss_rows, dtype=np.int64)
-            computed = self._evaluate_blocks(unique[rows, 0], unique[rows, 1])
-            unique_results[rows] = computed
-            with self._lock:
-                for (lo, hi), value in zip(unique[rows], computed):
-                    cache[(int(lo), int(hi))] = float(value)
-                    if len(cache) > self.cache_size:
-                        cache.popitem(last=False)
-        return unique_results[inverse]

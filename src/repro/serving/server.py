@@ -2,21 +2,21 @@
 
 A :class:`QueryServer` is what a client-facing process holds: it owns a
 :class:`~repro.serving.store.SynopsisStore`, faults synopses in lazily on
-first query (caching one :class:`~repro.serving.engine.BatchQueryEngine` per
-synopsis, each with an LRU range cache), and answers batches of range-sum /
-point / selectivity queries by name.
+first query (keeping one :class:`~repro.serving.engine.BatchQueryEngine` per
+synopsis), and answers batches of range-sum / point / selectivity queries by
+name.
 
 Concurrency model:
 
-* **Thread safety** — many threads may query concurrently.  Engine state is
-  immutable after construction except its range cache, which is internally
-  locked; the server's own engine table and statistics are lock-guarded.
-  Repeating the same batch always returns bit-identical answers.
+* **Thread safety** — many threads may query concurrently.  Engines are
+  immutable after construction and need no lock; the server's own engine
+  table and statistics are lock-guarded.  Repeating the same batch always
+  returns bit-identical answers.
 * **Bounded engine table** — the server's synopsis/engine table is an LRU
   bounded by ``max_synopses`` (``None`` disables the bound): when a catalog
   holds more synopses than the server should keep materialised, the least
-  recently *queried* synopsis is evicted — its engine, range cache and
-  payload are dropped together, and the next query for that name faults it
+  recently *queried* synopsis is evicted — its engine and payload are
+  dropped together, and the next query for that name faults it
   back in from the store (re-resolving the latest version, exactly as a
   fresh first touch would).  Eviction never changes answers, only which
   payloads are resident.
@@ -59,8 +59,8 @@ def evaluate_range_shard(payload: Tuple[int, np.ndarray, np.ndarray, np.ndarray,
     """Worker entry point: evaluate one shard of a range-sum batch.
 
     Module-level (picklable) so a ParallelExecutor can ship it to worker
-    processes; rebuilds a cache-less engine from the coefficient arrays and
-    evaluates its slice of the batch.  Shared by :class:`QueryServer`'s
+    processes; rebuilds an engine from the coefficient arrays and evaluates
+    its slice of the batch.  Shared by :class:`QueryServer`'s
     single-synopsis sharding and the service façade's multi-synopsis fan-out.
     """
     u, indices, values, los, his = payload
@@ -75,7 +75,6 @@ class QueryServer:
         store: the persistent catalog to serve from.
         executor: optional task executor for sharded evaluation of large
             batches; ``None`` evaluates every batch in one vectorized pass.
-        cache_size: per-synopsis LRU range-cache capacity (0 disables).
         shard_size: minimum queries per shard when an executor is configured;
             batches at or below this size are never sharded.
         max_synopses: LRU bound on concurrently materialised synopses
@@ -91,7 +90,6 @@ class QueryServer:
         store: SynopsisStore,
         *,
         executor: Optional[Executor] = None,
-        cache_size: int = 4096,
         shard_size: int = 8192,
         max_synopses: Optional[int] = 64,
         zero_copy: Optional[bool] = None,
@@ -104,7 +102,6 @@ class QueryServer:
             )
         self.store = store
         self.executor = executor
-        self.cache_size = cache_size
         self.shard_size = shard_size
         self.max_synopses = max_synopses
         self.zero_copy = zero_copy
@@ -133,7 +130,7 @@ class QueryServer:
                 self._synopses[key] = handle
                 if version is None:
                     # Pin the resolved version too, so explicit and implicit
-                    # lookups share one engine (and one cache).
+                    # lookups share one engine.
                     self._synopses.setdefault(
                         (name, handle.metadata.version), handle
                     )
@@ -158,7 +155,7 @@ class QueryServer:
         integrity failure instead of propagating it (tentpole 4, PR 8)."""
         handle = self.synopsis(name, version)
         try:
-            return handle.engine(cache_size=self.cache_size), handle
+            return handle.engine(), handle
         except SynopsisIntegrityError as error:
             bad_version = handle.metadata.version
             self.store.quarantine(name, bad_version, reason=str(error))
@@ -166,7 +163,7 @@ class QueryServer:
             # quarantining further corrupt payloads as it finds them; it
             # raises only when no intact ancestor exists at all.
             fallback = self.store.load_intact(name, version)
-            fallback_engine = fallback.engine(cache_size=self.cache_size)
+            fallback_engine = fallback.engine()
             with self._lock:
                 for key in [k for k, h in self._synopses.items() if h is handle]:
                     self._synopses[key] = fallback
@@ -258,30 +255,25 @@ class QueryServer:
 
     # ------------------------------------------------------------------ stats
     def stats(self) -> Dict[str, Any]:
-        """Serving statistics: totals plus per-loaded-synopsis cache counters.
+        """Serving statistics: query totals and the engine table's occupancy.
 
-        Strictly observation-only: cache info is reported for engines that
-        already exist (``peek_engine``), never materialised here — a stats
+        Strictly observation-only: ``synopses_loaded`` counts engines that
+        already exist (``peek_engine``), never materialising one — a stats
         scrape must not load payloads or build engines under the server lock.
         """
         with self._lock:
-            loaded = {}
-            for (name, version), handle in self._synopses.items():
-                if version is None or not handle.loaded:
-                    continue
-                engine = handle.peek_engine(cache_size=self.cache_size)
-                if engine is None:
-                    continue
-                loaded[f"{name}@v{version}"] = engine.cache_info()
+            loaded = sum(
+                1 for (_, version), handle in self._synopses.items()
+                if version is not None and handle.peek_engine() is not None
+            )
             return {
                 "queries_served": self._queries_served,
                 "batches_served": self._batches_served,
-                "synopses_loaded": len(loaded),
+                "synopses_loaded": loaded,
                 "synopses_resident": len({id(h) for h in self._synopses.values()}),
                 "synopses_evicted": self._synopses_evicted,
                 "degraded": {name: dict(info)
                              for name, info in self._degraded.items()},
-                "caches": loaded,
             }
 
     # -------------------------------------------------------------- internals

@@ -222,7 +222,7 @@ class StoredSynopsis:
     :meth:`~repro.serving.backends.StoreBackend.read_payload_view` seam, so
     the directory backend serves it mmap'd — checksum-verified, and then
     shared by everything derived from it: the coefficient arrays alias the
-    payload bytes, the query engines adopt the arrays as read-only views, and
+    payload bytes, the query engine adopts the arrays as read-only views, and
     :attr:`histogram` (the legacy dict form) is only materialised for callers
     that ask for it.  :meth:`release` drops the whole chain, which is how the
     server's LRU eviction returns a version's bytes.
@@ -233,7 +233,7 @@ class StoredSynopsis:
         self.metadata = metadata
         self._lock = threading.Lock()
         self._histogram: Optional[WaveletHistogram] = None
-        self._engines: Dict[tuple, BatchQueryEngine] = {}
+        self._engine: Optional[BatchQueryEngine] = None
         self._payload: Optional[memoryview] = None
         self._payload_kind = "heap"
         self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -320,34 +320,28 @@ class StoredSynopsis:
         with self._lock:
             return self._arrays_locked()
 
-    def engine(self, cache_size: int = 0, block_size: int = 65536) -> BatchQueryEngine:
-        """A batch query engine over this synopsis (memoised per parameters).
+    def engine(self) -> BatchQueryEngine:
+        """The batch query engine over this synopsis (built once, then shared).
 
         Built from the payload-aliasing arrays via the
         :meth:`~repro.serving.engine.BatchQueryEngine.from_arrays` pass-through
         — no dict round-trip, no coefficient copy.
         """
         with self._lock:
-            key = (cache_size, block_size)
-            engine = self._engines.get(key)
-            if engine is None:
+            if self._engine is None:
                 indices, values = self._arrays_locked()
-                engine = BatchQueryEngine.from_arrays(
-                    self.metadata.u, indices, values,
-                    cache_size=cache_size, block_size=block_size,
-                )
-                self._engines[key] = engine
-            return engine
+                self._engine = BatchQueryEngine.from_arrays(
+                    self.metadata.u, indices, values)
+            return self._engine
 
-    def peek_engine(self, cache_size: int = 0,
-                    block_size: int = 65536) -> Optional[BatchQueryEngine]:
-        """The memoised engine for these parameters, or ``None``.
+    def peek_engine(self) -> Optional[BatchQueryEngine]:
+        """The engine if :meth:`engine` has built it, else ``None``.
 
         Unlike :meth:`engine` this never loads the payload or materialises
         anything — the observation-only accessor stats endpoints need.
         """
         with self._lock:
-            return self._engines.get((cache_size, block_size))
+            return self._engine
 
     def release(self) -> int:
         """Drop the payload and everything derived from it; return bytes freed.
@@ -363,7 +357,7 @@ class StoredSynopsis:
             if payload is None:
                 return 0
             freed = len(payload)
-            self._engines.clear()
+            self._engine = None
             self._arrays = None
             self._histogram = None
             self._payload = None
@@ -522,7 +516,6 @@ class SynopsisStore:
                 build=dict(build or {}),
             )
             self.backend.publish(name, version, metadata.to_json() + "\n", payload)
-            self._write_catalog()
         telemetry.metrics.observe("repro_store_save_seconds",
                                   time.perf_counter() - started)
         telemetry.metrics.inc("repro_store_save_bytes_total", len(payload))
@@ -614,32 +607,3 @@ class SynopsisStore:
     def entries(self) -> List[SynopsisMetadata]:
         """Latest-version metadata for every name (the catalog listing)."""
         return [self.load(name).metadata for name in self.names()]
-
-    def _write_catalog(self) -> None:
-        """Refresh the human-readable catalog summary.
-
-        Genuinely best effort: the catalog is a convenience view derived from
-        the per-version metadata (which is already durably published by the
-        time this runs), so a failure here must not fail the save.
-        """
-        try:
-            catalog: Dict[str, Dict[str, Any]] = {}
-            for name in self.names():
-                versions = self.versions(name)
-                metadata = self.load(name, versions[-1]).metadata
-                catalog[name] = {
-                    "latest": versions[-1],
-                    "versions": versions,
-                    "algorithm": metadata.algorithm,
-                    "u": metadata.u,
-                    "k": metadata.k,
-                }
-            self.backend.write_catalog(
-                json.dumps(catalog, sort_keys=True, indent=2) + "\n"
-            )
-        except Exception as error:
-            # Any failure — unreadable sibling metadata, an unwritable root —
-            # must not fail (or brick) saves; the catalog is derived data.
-            # Operators still deserve to know it is drifting.
-            logger.warning("catalog summary refresh failed (catalog.json may "
-                           "be stale): %s", error)

@@ -7,13 +7,13 @@ synopsis.  Three canonical mixes are provided, mirroring how selectivity
 estimation is exercised in practice:
 
 ``uniform``
-    Independent uniformly random ``(lo, hi)`` pairs — the worst case for any
-    cache, touching the whole domain evenly.
+    Independent uniformly random ``(lo, hi)`` pairs, touching the whole
+    domain evenly.
 
 ``zipfian``
     Queries centred on zipf-distributed hot keys with small dyadic widths —
-    the "popular key" regime of web/OLTP traffic.  The hot set repeats, so
-    this mix is what makes the engine's LRU range cache pay off.
+    the "popular key" regime of web/OLTP traffic, where a small hot set of
+    ranges repeats.
 
 ``range_skewed``
     Wide, heavy-tailed (Pareto) range widths with starting points biased
@@ -256,7 +256,7 @@ class WorkloadGenerator:
 
     def _zipfian(self, rng: np.random.Generator, count: int) -> Tuple[np.ndarray, np.ndarray]:
         # Hot centres: zipf ranks folded into the domain so the hottest keys
-        # repeat often (which is what exercises the engine's range cache).
+        # repeat often.
         # A seed-derived odd multiplier mod u (a bijection, since u is a power
         # of two) decouples rank from key in O(count) — materialising a full
         # permutation of the domain would make generation O(u).

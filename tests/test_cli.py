@@ -218,7 +218,6 @@ class TestServingCommands:
         output = capsys.readouterr().out
         assert "bound 1e-09 verified" in output
         assert "batch engine" in output and "scalar loop" in output
-        assert "hit rate" in output  # cache effectiveness
-        # p50/p99 per-batch latency of the uncached engine.
+        # p50/p99 per-batch latency of the engine.
         assert "latency per 256-query batch" in output
         assert "p50" in output and "p99" in output

@@ -185,20 +185,32 @@ def test_unpicklable_job_code_raises_executor_error(parallel_executor):
         assert len(parallel_executor.run_tasks([], slots=4)) == 0
 
 
-@pytest.mark.parametrize("path", sorted(JOB_PATHS))
-def test_serial_task_error_reaches_the_caller_unchanged(path):
-    """Nothing is pickled on the serial executor, so a task's own TypeError
-    is never diagnosed as an unpicklable spec, on either path."""
+def _assert_task_error_reaches_the_caller(path, executor):
     import numpy as np
 
     hdfs = HDFS()
     hdfs.create_file("/input", np.arange(1, 2001))
     runner = JobRunner(hdfs, cluster=paper_cluster(split_size_bytes=1000),
-                       executor=SerialExecutor())
+                       executor=executor)
     with pytest.raises(TypeError, match="cannot pickle 'generator' object"):
         JOB_PATHS[path](runner, MapReduceJob(
             name="raises", input_path="/input",
             mapper_class=_GeneratorErrorMapper, reducer_class=_SumReducer))
+
+
+@pytest.mark.parametrize("path", sorted(JOB_PATHS))
+def test_serial_task_error_reaches_the_caller_unchanged(path):
+    """Nothing is pickled on the serial executor, so a task's own TypeError
+    is never diagnosed as an unpicklable spec, on either path."""
+    _assert_task_error_reaches_the_caller(path, SerialExecutor())
+
+
+@pytest.mark.parametrize("path", sorted(JOB_PATHS))
+def test_parallel_task_error_reaches_the_caller_unchanged(path, parallel_executor):
+    """The spec pickles, so a worker's own TypeError — whatever its message
+    says about pickling — reaches the caller as itself, not as an
+    unpicklable-spec diagnosis, on either path."""
+    _assert_task_error_reaches_the_caller(path, parallel_executor)
 
 
 def test_create_executor_names():

@@ -6,6 +6,9 @@ and the ``SynopsisService`` façade (build → store → multi-synopsis fan-out)
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,9 @@ from repro.service import (
     SynopsisService,
 )
 from repro.serving.backends import MemoryBackend
+from repro.serving.engine import BatchQueryEngine
+from repro.serving.server import QueryServer
+from repro.serving.store import SynopsisStore
 from repro.serving.workload import WorkloadGenerator
 
 U = 256
@@ -271,6 +277,15 @@ class TestSynopsisService:
         assert stats["fanout_batches"] == 1
         assert stats["fanout_queries"] == 4  # 2 queries x 2 synopses
 
+    def test_no_range_cache_option_on_any_surface(self):
+        """The range cache is gone: no serving surface accepts its capacity."""
+        with pytest.raises(TypeError):
+            BatchQueryEngine(16, {1: 1.0}, cache_size=8)
+        with pytest.raises(TypeError):
+            QueryServer(SynopsisStore.in_memory(), cache_size=8)
+        with pytest.raises(TypeError):
+            SynopsisService(cache_size=8)
+
     def test_catalog_and_refresh(self, service_dataset):
         service = SynopsisService(profile=RuntimeProfile(seed=SEED))
         service.build(AlgorithmSpec("send-v", k=K), service_dataset)
@@ -376,6 +391,36 @@ class TestBuildMany:
                                      profile.with_overrides(concurrent_jobs=3))
         for expected, actual in zip(one_at_a_time, scheduled):
             assert actual.checksum_sha256 == expected.checksum_sha256
+
+    def test_finished_build_frees_its_runner(self, service_dataset, monkeypatch):
+        """With one build in flight, the first request's runner (and the
+        state store its rounds filled) is gone before the second request's
+        first round begins."""
+        runners = []
+        first_alive_at_second_start = []
+        from_profile = JobRunner.from_profile
+        begin_round = JobRunner.begin_round
+
+        def recording_from_profile(*args, **kwargs):
+            runner = from_profile(*args, **kwargs)
+            runners.append(weakref.ref(runner))
+            return runner
+
+        def observing_begin_round(runner, *args, **kwargs):
+            if (len(runners) == 2 and runners[1]() is runner
+                    and runner.rounds_started == 0):
+                gc.collect()
+                first_alive_at_second_start.append(runners[0]() is not None)
+            return begin_round(runner, *args, **kwargs)
+
+        monkeypatch.setattr(JobRunner, "from_profile",
+                            staticmethod(recording_from_profile))
+        monkeypatch.setattr(JobRunner, "begin_round", observing_begin_round)
+        profile = RuntimeProfile(seed=SEED, concurrent_jobs=1)
+        reports = SynopsisService(profile=profile).build_many(
+            self._requests(service_dataset)[:2], profile)
+        assert all(report.ok for report in reports)
+        assert first_alive_at_second_start == [False]
 
     def test_bad_requests_are_rejected(self, service_dataset):
         service = SynopsisService(profile=RuntimeProfile(seed=SEED))

@@ -161,8 +161,6 @@ class TestEdgeCasesAndValidation:
         with pytest.raises(KeyOutOfDomainError):
             BatchQueryEngine(16, {17: 1.0})
         with pytest.raises(InvalidParameterError):
-            BatchQueryEngine(16, {1: 1.0}, cache_size=-1)
-        with pytest.raises(InvalidParameterError):
             BatchQueryEngine(16, {1: 1.0}, block_size=0)
 
     def test_selectivity_normalises_by_estimated_total(self):
@@ -177,48 +175,6 @@ class TestEdgeCasesAndValidation:
     def test_selectivity_with_zero_total_is_zero(self):
         engine = BatchQueryEngine(32, {})
         assert np.array_equal(engine.selectivity_many([1], [32]), [0.0])
-
-
-class TestRangeCache:
-    def test_cached_results_identical_to_uncached(self):
-        histogram = _histogram()
-        plain = BatchQueryEngine.from_histogram(histogram)
-        cached = BatchQueryEngine.from_histogram(histogram, cache_size=64)
-        workload = WorkloadGenerator(histogram.u, seed=4).generate(2_000, "zipfian")
-        expected = plain.range_sum_many(workload.los, workload.his)
-        assert np.array_equal(cached.range_sum_many(workload.los, workload.his), expected)
-        # Second pass is served (partly) from cache and must not change answers.
-        assert np.array_equal(cached.range_sum_many(workload.los, workload.his), expected)
-        info = cached.cache_info()
-        assert info["hits"] > 0 and info["misses"] > 0
-        assert info["size"] <= 64
-
-    def test_hit_and_miss_accounting(self):
-        engine = BatchQueryEngine.from_histogram(_histogram(), cache_size=8)
-        engine.range_sum_many([1, 1, 3], [10, 10, 9])
-        info = engine.cache_info()
-        # Two unique ranges computed; the duplicate (1, 10) reuses the result.
-        assert info["misses"] == 2 and info["hits"] == 1 and info["size"] == 2
-        engine.range_sum_many([1], [10])
-        assert engine.cache_info()["hits"] == 2
-
-    def test_lru_eviction_order(self):
-        engine = BatchQueryEngine.from_histogram(_histogram(), cache_size=2)
-        engine.range_sum_many([1], [2])   # cache: (1,2)
-        engine.range_sum_many([3], [4])   # cache: (1,2), (3,4)
-        engine.range_sum_many([1], [2])   # touch (1,2); LRU is now (3,4)
-        engine.range_sum_many([5], [6])   # evicts (3,4)
-        engine.range_sum_many([1], [2])   # still cached -> hit
-        assert engine.cache_info()["hits"] == 2
-        engine.range_sum_many([3], [4])   # evicted -> miss
-        assert engine.cache_info()["misses"] == 4
-
-    def test_cache_clear_keeps_statistics(self):
-        engine = BatchQueryEngine.from_histogram(_histogram(), cache_size=8)
-        engine.range_sum_many([1, 1], [8, 8])
-        engine.cache_clear()
-        info = engine.cache_info()
-        assert info["size"] == 0 and info["misses"] == 1 and info["hits"] == 1
 
 
 class TestWorkloadGenerator:
@@ -241,7 +197,7 @@ class TestWorkloadGenerator:
     def test_zipfian_mix_repeats_ranges(self):
         workload = WorkloadGenerator(1 << 14, seed=3).generate(4_000, "zipfian")
         unique = np.unique(np.stack([workload.los, workload.his], axis=1), axis=0)
-        assert unique.shape[0] < len(workload)  # hot set repeats -> cacheable
+        assert unique.shape[0] < len(workload)  # the hot set repeats
 
     def test_rejects_bad_parameters(self):
         generator = WorkloadGenerator(64)

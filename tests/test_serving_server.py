@@ -78,7 +78,7 @@ class TestQueryServer:
 
 class TestConcurrentDeterminism:
     def test_many_threads_get_bit_identical_answers(self, populated_store):
-        server = QueryServer(populated_store, cache_size=256)
+        server = QueryServer(populated_store)
         workload = WorkloadGenerator(1024, seed=13).generate(5_000, "zipfian")
         reference = server.serve_workload("web", workload)
 
@@ -94,7 +94,7 @@ class TestConcurrentDeterminism:
         assert stats["batches_served"] == 17
 
     def test_concurrent_mixed_batches_are_isolated(self, populated_store):
-        server = QueryServer(populated_store, cache_size=64)
+        server = QueryServer(populated_store)
         workloads = [
             WorkloadGenerator(1024, seed=seed).generate(500, "uniform")
             for seed in range(6)

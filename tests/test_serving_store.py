@@ -152,15 +152,13 @@ class TestStoreRoundTrip:
         assert store.names() == ["a-synopsis", "b-synopsis"]
         entries = {metadata.name: metadata for metadata in store.entries()}
         assert entries["a-synopsis"].version == 2
-        with open(os.path.join(store.root, "catalog.json"), encoding="utf-8") as handle:
-            catalog = json.load(handle)
-        assert catalog["a-synopsis"]["latest"] == 2
-        assert catalog["a-synopsis"]["versions"] == [1, 2]
+        # The per-version metadata is the catalog: no summary file is derived.
+        assert not os.path.exists(os.path.join(store.root, "catalog.json"))
 
     def test_catalog_failure_does_not_fail_the_save(self, tmp_path):
         store = SynopsisStore(str(tmp_path))
-        # A directory squatting on catalog.json makes the summary unwritable;
-        # the save must still publish the version.
+        # A stray directory named like a file at the store root (here the
+        # catalog.json summary older releases wrote) must not fail a save.
         os.makedirs(os.path.join(store.root, "catalog.json"))
         metadata = store.save("resilient", _histogram())
         assert metadata.version == 1
@@ -172,8 +170,8 @@ class TestStoreRoundTrip:
         meta_path = os.path.join(store.root, "a", "v00001", "meta.json")
         with open(meta_path, "w", encoding="utf-8") as handle:
             handle.write("{not json")
-        # Saving an unrelated name still publishes (the catalog is derived
-        # data), and loading the corrupt entry raises the contract error.
+        # Saving an unrelated name still publishes (a save reads no sibling
+        # metadata), and loading the corrupt entry raises the contract error.
         assert store.save("b", _histogram()).version == 1
         assert store.load("b").histogram.coefficients
         with pytest.raises(SynopsisIntegrityError):
@@ -183,10 +181,22 @@ class TestStoreRoundTrip:
         store = SynopsisStore(str(tmp_path))
         histogram = _histogram()
         store.save("served", histogram)
-        engine = store.load("served").engine(cache_size=16)
+        engine = store.load("served").engine()
         assert engine.range_sum_many([1], [histogram.u])[0] == pytest.approx(
             histogram.range_sum_scalar(1, histogram.u), abs=1e-9
         )
+
+    def test_one_engine_per_handle_until_release(self, tmp_path):
+        store = SynopsisStore(str(tmp_path))
+        store.save("served", _histogram())
+        handle = store.load("served")
+        assert handle.peek_engine() is None  # peeking builds nothing
+        engine = handle.engine()
+        assert handle.engine() is engine
+        assert handle.peek_engine() is engine
+        assert handle.release() > 0
+        assert handle.peek_engine() is None
+        assert handle.engine() is not engine  # faults back in after release
 
 
 class TestAlgorithmRunEmitsStoreEntries:

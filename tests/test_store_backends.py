@@ -8,8 +8,6 @@ be *byte-identical* (same checksum, same payload) to the other.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -80,15 +78,6 @@ class TestMemoryRoundTrip:
             backend.publish("dup", 1, "{}", payload)
             with pytest.raises(InvalidParameterError):
                 backend.publish("dup", 1, "{}", payload)
-
-    def test_catalog_text_mirrors_catalog_json(self, memory_store):
-        memory_store.save("b-syn", _histogram(), algorithm="B")
-        memory_store.save("a-syn", _histogram(), algorithm="A")
-        memory_store.save("a-syn", _histogram(seed=9), algorithm="A")
-        assert memory_store.names() == ["a-syn", "b-syn"]
-        catalog = json.loads(memory_store.backend.catalog_text)
-        assert catalog["a-syn"]["latest"] == 2
-        assert catalog["a-syn"]["versions"] == [1, 2]
 
     def test_root_is_none_on_memory_backends(self, memory_store, tmp_path):
         assert memory_store.root is None
