@@ -8,8 +8,8 @@ executor, and reports the wall-clock speedup.  Two assertions:
 * parallel is >= 2x faster than serial — wall-clock is load- and
   machine-dependent, so this assertion is opt-in: set
   ``REPRO_ASSERT_SPEEDUP=1`` (as a dedicated perf gate does) on a machine with
-  at least 4 idle CPUs.  Every run records the measured ratio to the results
-  archive regardless.
+  at least 4 idle CPUs.  Every run prints the measured ratio regardless
+  (``-s`` shows it); nothing is written to disk.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.mapreduce.executor import ParallelExecutor, SerialExecutor
 from repro.mapreduce.hdfs import HDFS
 from repro.service import RuntimeProfile
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 WORKERS = 4
 
@@ -79,10 +78,6 @@ def test_parallel_executor_speedup_fig10_scale():
     ]
     text = "\n".join(lines)
     print("\n" + text)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, "executor_speedup.txt"), "w",
-              encoding="utf-8") as handle:
-        handle.write(text + "\n")
 
     if os.environ.get("REPRO_ASSERT_SPEEDUP") == "1":
         assert speedup >= 2.0, (

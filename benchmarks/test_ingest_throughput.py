@@ -14,7 +14,7 @@ After the timed run the streamed synopsis is checked against a from-scratch
 batch build of the surviving multiset — the throughput numbers only count if
 the result is still byte-identical.
 
-Measured series are written to ``benchmarks/results/ingest_throughput.txt``.
+Measured series are printed (``-s`` shows them), never written to disk.
 
 Setting ``REPRO_BENCH_SCALE=quick`` (the CI smoke job) shrinks the stream.
 The absolute-throughput assertion additionally needs a machine with at least
@@ -34,7 +34,6 @@ from repro.serving.store import SynopsisStore
 from repro.serving.workload import UpdateStreamGenerator
 from repro.streaming import StreamIngestor, SynopsisMaintainer
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 REQUIRED_UPDATES_PER_SECOND = 200_000.0
 U = 2**15
 K = 30
@@ -95,10 +94,6 @@ def test_ingest_throughput():
     ]
     text = "\n".join(lines)
     print("\n" + text)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, "ingest_throughput.txt"), "w",
-              encoding="utf-8") as handle:
-        handle.write(text + "\n")
 
     cpu_count = os.cpu_count() or 1
     if not quick_scale and cpu_count >= 4:

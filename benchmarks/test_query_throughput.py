@@ -11,20 +11,17 @@ verify the checksum, build the engine, answer.  The measurement itself is
 :func:`repro.serving.bench.measure_serving_throughput` — the same harness the
 ``serve-bench`` CLI runs, so the two surfaces cannot drift apart.
 
-Measured series (written to ``benchmarks/results/query_throughput.txt``):
-queries/sec of the scalar loop and the batch engine, the observed speedup,
-and the engine's p50/p99 latency per 256-query batch.
+Printed series (``-s`` shows them; nothing is written to disk): queries/sec
+of the scalar loop and the batch engine, the observed speedup, and the
+engine's p50/p99 latency per 256-query batch.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.core.histogram import WaveletHistogram
 from repro.serving.bench import measure_serving_throughput
 from repro.serving.store import SynopsisStore
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 NUM_QUERIES = 10_000
 REQUIRED_SPEEDUP = 20.0
 
@@ -51,10 +48,6 @@ def test_query_throughput(experiment_config, tmp_path):
     )
     text = "\n".join([header] + report.table_lines())
     print("\n" + text)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, "query_throughput.txt"), "w",
-              encoding="utf-8") as handle:
-        handle.write(text + "\n")
 
     assert report.speedup >= REQUIRED_SPEEDUP, (
         f"batch engine is only {report.speedup:.1f}x faster than the scalar "

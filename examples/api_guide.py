@@ -85,9 +85,9 @@ def main() -> None:
               f"sha256 {report.checksum_sha256[:12]}...")
 
     # Multi-synopsis fan-out: ONE workload, answered across BOTH stored
-    # attributes in a single call.  Shards run through the profile's executor
-    # and merge in name-then-task order, so the answer vectors are identical
-    # whatever the executor or store backend.
+    # attributes in a single call.  Each synopsis' resident engine answers the
+    # whole batch in-process, in name order, so the answer vectors are
+    # identical whatever the executor or store backend.
     workload = WorkloadGenerator(2 ** 12, seed=5).generate(10_000, "mixed")
     answers = service.query_workload(["web", "orders"], workload)
     for name, estimates in answers.items():

@@ -110,7 +110,7 @@ from repro.telemetry import (
 # handlers — applications opt in (the CLI's --log-level does).
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "AlgorithmResult",

@@ -25,7 +25,7 @@ parallelism changes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -223,8 +223,3 @@ class SendV(HistogramAlgorithm):
             stages=(PlanStage("aggregate", build),),
             finish=finish,
         )
-
-
-def build_send_v_outputs(results: List) -> Dict[int, float]:
-    """Helper for tests: collect reducer output pairs into a coefficient mapping."""
-    return {int(index): float(value) for index, value in results}

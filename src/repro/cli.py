@@ -27,8 +27,9 @@ Ten sub-commands are provided::
     python -m repro serve query --store DIR --name A --name B [--count N]
         The multi-synopsis serving verbs: list a store's catalog, or fan one
         generated workload out across several stored synopses through the
-        :class:`~repro.service.facade.SynopsisService` (answers are
-        deterministic in name-then-task order, whatever the executor).
+        :class:`~repro.service.facade.SynopsisService` (each synopsis answers
+        in-process, in name order, so the answers never depend on the
+        executor).
 
     python -m repro serve-bench [--quick] [--count N] [--mix mixed]
         Measure serving throughput: the vectorized batch engine versus the
@@ -289,8 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     fanout.add_argument("--seed", type=int, default=7,
                         help="workload seed (default: 7)")
     fanout.add_argument("--profile", default=None, metavar="SPEC",
-                        help="runtime profile for the fan-out executor, e.g. "
-                             "'parallel:4' (default: serial)")
+                        help="runtime profile of the service, e.g. "
+                             "'parallel:4' (default: serial); queries are "
+                             "answered in-process whatever its executor")
 
     ingest = subparsers.add_parser(
         "ingest", help="stream generated update batches into a synopsis "

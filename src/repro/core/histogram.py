@@ -125,7 +125,7 @@ class WaveletHistogram:
 
         Returns:
             ``float64`` array of shape ``(q,)``; evaluated by the
-            :class:`~repro.serving.engine.BatchQueryEngine` in ``O(q * k)``
+            :class:`~repro.serving.engine.BatchQueryEngine` in ``O(q log k)``
             numpy work rather than ``q`` Python coefficient loops.
         """
         return self.query_engine().range_sum_many(los, his)

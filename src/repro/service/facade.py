@@ -17,12 +17,11 @@ caller wired them together by hand.  The service is the one seam:
   tasks interleave on the cluster's shared map/reduce slot pool while each
   stored payload (and checksum) stays bit-identical to a sequential build.
 * ``service.query(names, los, his)`` — **multi-synopsis fan-out**: one
-  workload evaluated across many stored attributes.  Every (synopsis, shard)
-  pair becomes one :class:`~repro.mapreduce.executor.FunctionTaskSpec`
-  dispatched through the profile's executor in a single phase, and results
-  merge in deterministic *name-then-task* order — so the answer vectors are
-  bit-identical whether the fan-out ran serially or on a process pool, and
-  whether the synopses live in a directory or in memory.
+  workload evaluated across many stored attributes.  Every name's resident
+  engine answers the whole batch in-process, one name after another in name
+  order; no task crosses the executor seam, so the answer vectors cannot
+  depend on the profile's executor, and they are bit-identical whether the
+  synopses live in a directory or in memory.
 * ``service.ingest(name, inserts, deletes)`` / ``service.maintain(name)`` —
   **streaming maintenance**: update batches are counted through the
   profile's executor (:class:`~repro.streaming.ingest.StreamIngestor`) and
@@ -48,17 +47,16 @@ from repro.algorithms.base import AlgorithmResult, HistogramAlgorithm
 from repro.algorithms.registry import make_algorithm
 from repro.data.dataset import Dataset
 from repro.errors import InvalidParameterError
-from repro.mapreduce.executor import FunctionTaskSpec
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.runtime import JobRunner
 from repro.mapreduce.scheduler import ClusterScheduler, SchedulerStats
-from repro.serving.server import QueryServer, evaluate_range_shard
+from repro.serving.server import QueryServer
 from repro.serving.store import SynopsisMetadata, SynopsisStore
 from repro.serving.workload import QueryWorkload
 from repro.service.profile import RuntimeProfile
 from repro.streaming.ingest import StreamIngestor
 from repro.streaming.maintain import SlidingWindowMaintainer, SynopsisMaintainer
-from repro.telemetry import active_telemetry, apply_task_metrics
+from repro.telemetry import active_telemetry
 
 __all__ = ["AlgorithmSpec", "BuildReport", "BuildRequest", "SynopsisService"]
 
@@ -162,10 +160,12 @@ class SynopsisService:
     Args:
         store: the catalog builds publish to and queries serve from; a fresh
             in-memory store when omitted.
-        profile: default :class:`RuntimeProfile` for builds and for the
-            query fan-out's executor (a serial-executor profile when omitted).
-        shard_size: maximum queries per fan-out task (and the server's
-            single-synopsis sharding threshold).
+        profile: default :class:`RuntimeProfile` for builds and stream
+            ingest (a serial-executor profile when omitted).
+        shard_size: the ingest shard threshold: an update batch larger than
+            this is counted in shards across the profile's executor (see
+            :class:`~repro.streaming.ingest.StreamIngestor`).  Queries are
+            never sharded.
         max_synopses: LRU bound on concurrently materialised synopses.
     """
 
@@ -182,12 +182,7 @@ class SynopsisService:
         self.store = store if store is not None else SynopsisStore.in_memory()
         self.profile = profile if profile is not None else RuntimeProfile()
         self.shard_size = shard_size
-        self.server = QueryServer(
-            self.store,
-            shard_size=shard_size,
-            max_synopses=max_synopses,
-            zero_copy=self.profile.zero_copy,
-        )
+        self.server = QueryServer(self.store, max_synopses=max_synopses)
         self._fanout_queries = 0
         self._fanout_batches = 0
         self._maintainers: Dict[str, Union[SynopsisMaintainer, SlidingWindowMaintainer]] = {}
@@ -333,11 +328,12 @@ class SynopsisService:
     ) -> Dict[str, np.ndarray]:
         """Evaluate one range-sum workload across many stored synopses.
 
-        The batch is sharded into at-most-``shard_size`` slices per synopsis;
-        every (synopsis, shard) pair runs as one task on the profile's
-        executor in a single phase, and the per-name answer vectors are
-        assembled in deterministic name-then-task order.  The answers are
-        therefore bit-identical across executors and store backends.
+        Every range is validated against every name's domain first, so a bad
+        range fails the whole batch before anything is evaluated.  Each
+        name's resident engine then answers the whole batch in-process, in
+        name order.  Nothing is dispatched to the profile's executor, so the
+        answers cannot depend on it, and they are bit-identical across store
+        backends.
 
         Args:
             names: stored synopsis names, in the order the result dict should
@@ -366,46 +362,23 @@ class SynopsisService:
         if los.size == 0:
             return {name: np.zeros(0, dtype=np.float64) for name in names}
 
-        bounds = [
-            (start, min(start + self.shard_size, los.size))
-            for start in range(0, los.size, self.shard_size)
-        ]
-        specs: List[FunctionTaskSpec] = []
-        owners: List[str] = []
-        for name in names:  # name-major task order: the merge order
+        # Resolve and validate every name before evaluating any, so a bad
+        # range fails the whole batch and every answer comes from the engine
+        # it was validated against.
+        engines = []
+        for name in names:
             engine = self.server.engine(
                 name, versions.get(name) if versions is not None else None
             )
-            # Validate against this synopsis' domain up front, so a bad range
-            # fails the whole batch before any task is dispatched.
             engine.validate_ranges(los, his)
-            indices, values = engine.coefficient_arrays()
-            for start, stop in bounds:
-                specs.append(FunctionTaskSpec(
-                    task_id=len(specs),
-                    function=evaluate_range_shard,
-                    payload=(engine.u, indices, values,
-                             los[start:stop], his[start:stop]),
-                    zero_copy=self.profile.zero_copy_enabled,
-                ))
-                owners.append(name)
+            engines.append(engine)
 
-        executor = self.profile.build_executor()
         telemetry = active_telemetry(self.profile.telemetry)
-        logger.debug("fanning %d queries over %d synopses (%d tasks)",
-                     los.size, len(names), len(specs))
+        logger.debug("fanning %d queries over %d synopses", los.size, len(names))
         with telemetry.tracer.span("service.fanout", kind="serving",
-                                   synopses=len(names), queries=int(los.size),
-                                   tasks=len(specs)):
-            results = executor.run_tasks(specs, slots=len(specs))
-        # Per-shard timings ride each TaskResult as a metrics delta; replay
-        # them in task order (the same barrier discipline builds use).
-        apply_task_metrics(results, telemetry.metrics)
-
-        shards: Dict[str, List[np.ndarray]] = {name: [] for name in names}
-        for owner, task_result in zip(owners, results):  # spec order == task order
-            shards[owner].append(task_result.pairs[0][1])
-        answers = {name: np.concatenate(shards[name]) for name in names}
+                                   synopses=len(names), queries=int(los.size)):
+            answers = {name: engine.range_sum_many(los, his)
+                       for name, engine in zip(names, engines)}
         self._fanout_queries += los.size * len(names)
         self._fanout_batches += 1
         registry = telemetry.metrics

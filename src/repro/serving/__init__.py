@@ -5,21 +5,20 @@ in (simulated) MapReduce; this package is about what the paper builds them
 *for*: answering approximate range-sum / point / selectivity queries at high
 throughput.  It provides:
 
-* :class:`~repro.serving.engine.BatchQueryEngine` — a vectorized error-tree
-  evaluator that answers thousands of queries per numpy pass instead of one
-  query per Python loop;
+* :class:`~repro.serving.engine.BatchQueryEngine` — a piecewise index over a
+  synopsis' reconstructed signal that answers a batch of range sums with two
+  ``searchsorted`` lookups per query instead of one Python loop per query;
 * :class:`~repro.serving.store.SynopsisStore` — a persistent, versioned,
   checksummed on-disk catalog of built synopses with lazy loading;
 * :class:`~repro.serving.server.QueryServer` — a thread-safe front end that
-  serves query batches out of a store, optionally sharding large batches
-  across the PR-1 :class:`~repro.mapreduce.executor.Executor` seam;
+  serves query batches in-process out of a store, through an LRU-bounded
+  table of resident engines;
 * :class:`~repro.serving.workload.WorkloadGenerator` — reproducible
   uniform / zipfian / range-skewed query mixes for benchmarks and soak tests.
 
 The layering is strictly one-way: ``serving`` depends on ``core`` (the
-wavelet math) and ``mapreduce.executor`` (the task-execution seam) but never
-on ``algorithms`` or ``experiments``, so any synopsis — however it was built —
-can be stored and served.
+wavelet math) but never on ``algorithms`` or ``experiments``, so any
+synopsis — however it was built — can be stored and served.
 """
 
 from repro.serving.backends import DirectoryBackend, MemoryBackend, StoreBackend

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class ThroughputReport:
             (the change in ``repro_payload_mmap_total``).
         payload_resident_bytes: resident payload bytes by kind
             (``repro_payload_bytes_resident{kind=mapped|heap}``).
-        ship_bytes: task-shipping bytes by mode shipped during the call (the
-            change in ``repro_task_ship_bytes_total``, summed over phases) —
-            nonzero when a fan-out executor shipped query shards.
     """
 
     queries: int
@@ -67,7 +64,6 @@ class ThroughputReport:
     latency_p99_ms: Optional[float] = None
     payload_mmap_total: Optional[float] = None
     payload_resident_bytes: Optional[Dict[str, float]] = None
-    ship_bytes: Optional[Dict[str, float]] = None
 
     @property
     def scalar_qps(self) -> float:
@@ -105,12 +101,6 @@ class ThroughputReport:
                 f"payloads: {int(self.payload_mmap_total or 0)} mmap'd load(s), "
                 f"resident {resident}"
             )
-        if self.ship_bytes:
-            shipped = ", ".join(
-                f"{mode} {int(value):,} B"
-                for mode, value in sorted(self.ship_bytes.items())
-            )
-            lines.append(f"task shipping: {shipped}")
         return lines
 
 
@@ -137,7 +127,6 @@ def measure_serving_throughput(
     # The registry is process-wide: report only what this call adds to it.
     registry = get_telemetry().metrics
     mmap_before = registry.counter_value("repro_payload_mmap_total")
-    ship_before = _ship_bytes_by_mode(registry.snapshot())
 
     histogram = served.histogram
     start = time.perf_counter()
@@ -186,18 +175,12 @@ def measure_serving_throughput(
                      batches, latency_batch_size)
 
     # Zero-copy observability: how the measured payload is resident (mapped
-    # vs heap) and what any fan-out executor shipped during the call, read
-    # from the process registry so serve-bench output matches a live scrape.
-    snapshot = registry.snapshot()
+    # vs heap), read from the process registry so serve-bench output matches
+    # a live scrape.
     resident = {
         entry["labels"].get("kind", ""): entry["value"]
-        for entry in snapshot["gauges"]
+        for entry in registry.snapshot()["gauges"]
         if entry["name"] == "repro_payload_bytes_resident" and entry["value"]
-    }
-    ship = {
-        mode: total - ship_before.get(mode, 0.0)
-        for mode, total in _ship_bytes_by_mode(snapshot).items()
-        if total != ship_before.get(mode, 0.0)
     }
 
     return ThroughputReport(
@@ -212,15 +195,5 @@ def measure_serving_throughput(
         payload_mmap_total=(registry.counter_value("repro_payload_mmap_total")
                             - mmap_before),
         payload_resident_bytes=resident,
-        ship_bytes=ship,
     )
 
-
-def _ship_bytes_by_mode(snapshot: Dict[str, Any]) -> Dict[str, float]:
-    """``repro_task_ship_bytes_total`` of a registry snapshot, summed by mode."""
-    ship: Dict[str, float] = {}
-    for entry in snapshot["counters"]:
-        if entry["name"] == "repro_task_ship_bytes_total":
-            mode = entry["labels"].get("mode", "")
-            ship[mode] = ship.get(mode, 0.0) + entry["value"]
-    return ship

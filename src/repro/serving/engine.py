@@ -2,35 +2,42 @@
 
 The legacy query path (:meth:`repro.core.histogram.WaveletHistogram.range_sum`)
 loops over the retained coefficients in Python for every query.  This module
-replaces that with an **error-tree formulation evaluated in numpy**: the
-engine precomputes, per retained coefficient, the geometry of its dyadic
-support (start, midpoint, half-width and the orthonormal scale), and answers a
-whole batch of queries with a handful of broadcast operations.
+replaces it with a **piecewise index** built once per synopsis, so a batch of
+``q`` range sums costs two ``searchsorted`` lookups per query — ``O(q log k)``
+numpy work and ``O(q)`` memory, whatever the synopsis size.
 
-The math.  Let ``C_i(x) = sum_{y=1..x} psi_i(x)`` be the prefix sum of basis
-vector ``psi_i``.  A Haar basis vector is ``-1/sqrt(W)`` on the left half of
-its dyadic support ``[s, s + W - 1]`` and ``+1/sqrt(W)`` on the right half, so
-with ``t = clamp(x, s - 1, s + W - 1)`` and ``m = s + W/2 - 1``::
+The math.  A Haar basis vector ``psi_i`` is ``-1/sqrt(W)`` on the left half of
+its dyadic support ``[s, s + W - 1]`` and ``+1/sqrt(W)`` on the right half,
+and ``w_1``'s basis is the constant ``1/sqrt(u)``.  A ``k``-term synopsis
+therefore reconstructs a piecewise-constant signal that can only change value
+at ``1`` and at each kept detail coefficient's start ``s``, midpoint
+``s + W/2`` and end ``s + W``: at most ``3k + 1`` pieces.  At each piece start
+``x`` the value is a sum over the ``log u`` error-tree nodes covering ``x`` —
+at level ``j`` (width ``W_j = u >> j``) that is node
+``i = 2^j + (x - 1) // W_j + 1``, with ``w_i = 0`` when ``i`` is not kept::
 
-    C_i(x) = ( clip(t - m, 0, W/2) - clip(t - s + 1, 0, W/2) ) / sqrt(W)
+    value(x)  = w_1/sqrt(u) + sum_j  sign_j(x) * w_j/sqrt(W_j)
+    before(x) = w_1*(x - 1)/sqrt(u) + sum_j (pos_j - neg_j) * w_j/sqrt(W_j)
 
-and a range sum is a difference of prefix sums::
+where ``sign_j`` is ``-`` on the node's left half and ``+`` on its right half,
+and ``pos_j``/``neg_j`` are the exact int64 counts of ``[s_j, x - 1]`` in each
+half.  ``before`` is the prefix sum of the signal up to ``x - 1``, so for a key
+``x`` in the piece starting at ``start[p]``::
 
-    range_sum(lo, hi) = sum_i w_i * (C_i(hi) - C_i(lo - 1))
+    prefix(x)         = before[p] + value[p] * (x - start[p] + 1)
+    range_sum(lo, hi) = prefix(hi) - prefix(lo - 1)
 
-The engine evaluates the inner counts as exact int64 arithmetic on a
-``(queries, coefficients)`` broadcast grid and reduces with one matrix-vector
-product, so a batch of ``q`` queries over a ``k``-term synopsis costs
-``O(q * k)`` *numpy* work — one to three orders of magnitude faster than the
-per-query Python loop (see ``benchmarks/test_query_throughput.py``) while
-remaining numerically identical to it within ``1e-9``.
+and a point estimate is ``value[p]``.  Every stored number is a *direct* sum of
+at most ``log u + 1`` terms; nothing is accumulated across pieces, so answers
+stay within ``1e-9`` of the scalar coefficient loop (a running cumsum over the
+pieces would drift past that bound on large synopses).  Building the index is
+one ``(levels x pieces)`` gather through ``searchsorted`` over the sorted
+coefficient indices.
 
-Large batches are processed in blocks of :attr:`BatchQueryEngine.block_size`
-queries to bound peak memory.  That is the only evaluation path: no per-range
-memo sits in front of it, because at the paper's ``k = 30`` one numpy pass
-over a batch costs less than looking its ranges up in a Python dict would.
-The engine holds no mutable state after construction, so every public
-method is thread-safe without a lock.
+Because a query needs only a few ``q``-length temporaries, no batch is ever
+split into blocks, and no per-range memo sits in front of the lookup.  The
+engine holds no mutable state after construction, so every public method is
+thread-safe without a lock.
 """
 
 from __future__ import annotations
@@ -51,10 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = ["BatchQueryEngine", "normalize_selectivities"]
 
 ArrayLike = Union[np.ndarray, Iterable[int]]
-
-# Cap on elements per (block, coefficients) broadcast grid: each int64
-# temporary stays <= 16 MiB however large the synopsis is.
-_BLOCK_ELEMENT_BUDGET = 1 << 21
 
 
 def normalize_selectivities(sums: np.ndarray, total: float) -> np.ndarray:
@@ -84,16 +87,12 @@ class BatchQueryEngine:
             internal zero-copy form :meth:`from_arrays` uses — an already
             conforming ``(indices, values)`` array pair adopted as read-only
             views without copying.
-        block_size: maximum queries evaluated per numpy pass (bounds the
-            ``(block, k)`` working set).
     """
 
     def __init__(
         self,
         u: int,
         coefficients: Union[Mapping[int, float], Tuple[np.ndarray, np.ndarray]],
-        *,
-        block_size: int = 65536,
     ) -> None:
         if isinstance(coefficients, tuple):
             # Zero-copy construction (the from_arrays fast path): already
@@ -113,11 +112,8 @@ class BatchQueryEngine:
             # materialised from the mapping.
             indices = np.array([i for i, _ in items], dtype=np.int64)  # reprolint: disable=hot-path-copy
             values = np.array([w for _, w in items], dtype=np.float64)  # reprolint: disable=hot-path-copy
-        validate_domain(u)
-        if block_size < 1:
-            raise InvalidParameterError(f"block_size must be positive, got {block_size}")
+        log_u = validate_domain(u)
         self.u = u
-        self.block_size = block_size
 
         if indices.size and (indices[0] < 1 or indices[-1] > u):
             bad = indices[0] if indices[0] < 1 else indices[-1]
@@ -127,49 +123,33 @@ class BatchQueryEngine:
         self._indices = indices
         self._values = values
 
-        self._inv_sqrt_u = 1.0 / math.sqrt(u)
         self._w1 = float(values[0]) if indices.size and indices[0] == 1 else 0.0
-
-        detail = indices[indices >= 2]
-        self._detail_values = values[indices >= 2]
-        # Support geometry of each detail coefficient i = 2^j + k + 1: dyadic
-        # range [slo, shi] of width W = u / 2^j, negative half ending at mid.
-        _, exponent = np.frexp((detail - 1).astype(np.float64))
-        level = exponent.astype(np.int64) - 1
-        width = np.int64(u) >> level
-        offset = detail - 1 - (np.int64(1) << level)
-        self._slo = offset * width + 1
-        self._shi = self._slo + width - 1
-        self._half = width >> 1
-        self._mid = self._slo + self._half - 1
-        self._scale = 1.0 / np.sqrt(width.astype(np.float64))
+        self._starts, self._before, self._value = _piece_index(
+            log_u, indices, values, self._w1)
 
     # ------------------------------------------------------------ construction
     @classmethod
-    def from_histogram(
-        cls, histogram: "WaveletHistogram", *, block_size: int = 65536,
-    ) -> "BatchQueryEngine":
+    def from_histogram(cls, histogram: "WaveletHistogram") -> "BatchQueryEngine":
         """Build an engine over a histogram's retained coefficients."""
-        return cls(histogram.u, histogram.coefficients, block_size=block_size)
+        return cls(histogram.u, histogram.coefficients)
 
     @classmethod
     def from_arrays(
-        cls, u: int, indices: ArrayLike, values: Iterable[float], *,
-        block_size: int = 65536,
+        cls, u: int, indices: ArrayLike, values: Iterable[float],
     ) -> "BatchQueryEngine":
-        """Build an engine from parallel index/value arrays (the pickled shard form).
+        """Build an engine from parallel index/value arrays (the stored payload form).
 
         Already-conforming arrays — int64/float64, 1-D, C-contiguous,
         native-endian, strictly ascending indices, no zero values, which is
         exactly what :meth:`coefficient_arrays` and an mmap'd WHSYN001 payload
         produce — pass through **without copying**: the engine adopts
-        read-only views, so serving fan-out workers and the LRU engine table
-        share one physical copy of the coefficients.  Anything else (lists,
+        read-only views, so the LRU engine table and the page cache share one
+        physical copy of the coefficients.  Anything else (lists,
         unsorted or duplicated indices, foreign dtypes) takes the reference
         dict round-trip.
 
         Raises:
-            InvalidParameterError: on duplicate indices — a malformed shard
+            InvalidParameterError: on duplicate indices — a malformed
                 payload must fail loudly, not collapse last-wins and
                 mis-evaluate every query it serves.
         """
@@ -183,7 +163,7 @@ class BatchQueryEngine:
                 and value_array.flags.c_contiguous
                 and bool(np.all(np.diff(index_array) > 0))
                 and not bool(np.any(value_array == 0.0))):
-            return cls(u, (index_array, value_array), block_size=block_size)
+            return cls(u, (index_array, value_array))
         if np.unique(index_array).size != index_array.size:
             counts = np.unique(index_array, return_counts=True)
             duplicated = counts[0][counts[1] > 1]
@@ -194,7 +174,7 @@ class BatchQueryEngine:
         mapping: Dict[int, float] = {
             int(i): float(w) for i, w in zip(index_array, value_array)
         }
-        return cls(u, mapping, block_size=block_size)
+        return cls(u, mapping)
 
     # -------------------------------------------------------------- properties
     @property
@@ -226,7 +206,8 @@ class BatchQueryEngine:
         if los.size == 0:
             return np.zeros(0, dtype=np.float64)
         started = time.perf_counter()
-        result = self._evaluate_blocks(los, his)
+        result = self._prefix(his)
+        result -= self._prefix(los - 1)
         get_telemetry().metrics.observe(
             "repro_serving_batch_seconds", time.perf_counter() - started,
             op="range_sum")
@@ -243,17 +224,7 @@ class BatchQueryEngine:
             bad = keys[(keys < 1) | (keys > self.u)][0]
             raise KeyOutOfDomainError(f"key {bad} outside domain [1, {self.u}]")
         started = time.perf_counter()
-        out = np.empty(keys.size, dtype=np.float64)
-        step = self._block_length()
-        for start in range(0, keys.size, step):
-            block = keys[start : start + step]
-            x = block[:, None]
-            result = np.full(block.size, self._w1 * self._inv_sqrt_u)
-            if self._detail_values.size:
-                in_support = (x >= self._slo) & (x <= self._shi)
-                signed = np.where(x > self._mid, self._scale, -self._scale)
-                result += np.where(in_support, signed, 0.0) @ self._detail_values
-            out[start : start + step] = result
+        out = self._value[np.searchsorted(self._starts, keys, side="right") - 1]
         get_telemetry().metrics.observe(
             "repro_serving_batch_seconds", time.perf_counter() - started,
             op="estimate")
@@ -277,8 +248,8 @@ class BatchQueryEngine:
         """Canonicalise and bounds-check a range batch without evaluating it.
 
         Returns the int64 ``(los, his)`` arrays the query methods would use.
-        Callers that shard a batch themselves (the service façade's fan-out)
-        validate up front so a bad range fails before any task is dispatched.
+        The service façade's fan-out validates every name's ranges up front,
+        so a bad range fails the whole batch before any synopsis answers.
 
         Raises:
             InvalidParameterError: mismatched shapes or an empty range.
@@ -310,34 +281,61 @@ class BatchQueryEngine:
             )
         return los, his
 
-    def _block_length(self) -> int:
-        """Queries per pass: ``block_size``, further capped so one broadcast
-        grid never exceeds the element budget even for full-budget synopses."""
-        per_grid = _BLOCK_ELEMENT_BUDGET // max(1, int(self._detail_values.size))
-        return max(1, min(self.block_size, per_grid))
-
-    def _evaluate_blocks(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-        out = np.empty(los.size, dtype=np.float64)
-        step = self._block_length()
-        for start in range(0, los.size, step):
-            stop = start + step
-            out[start:stop] = self._evaluate_block(los[start:stop], his[start:stop])
+    def _prefix(self, x: np.ndarray) -> np.ndarray:
+        """``sum_{y=1..x} v(y)`` for every ``x`` in ``[0, u]`` (``0`` at ``x = 0``)."""
+        piece = np.searchsorted(self._starts, x, side="right")
+        piece -= 1
+        length = x - self._starts[piece]
+        length += 1
+        out = self._value[piece] * length
+        out += self._before[piece]
         return out
 
-    def _evaluate_block(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-        # w_1's basis is constant, so its prefix-sum difference is just the
-        # range width; the detail terms are exact integer half-counts.
-        result = self._w1 * ((his - los + 1).astype(np.float64) * self._inv_sqrt_u)
-        if self._detail_values.size:
-            t_hi = np.clip(his[:, None], self._slo - 1, self._shi)
-            t_lo = np.clip(los[:, None] - 1, self._slo - 1, self._shi)
-            d_neg = (
-                np.clip(t_hi - self._slo + 1, 0, self._half)
-                - np.clip(t_lo - self._slo + 1, 0, self._half)
-            )
-            d_pos = (
-                np.clip(t_hi - self._mid, 0, self._half)
-                - np.clip(t_lo - self._mid, 0, self._half)
-            )
-            result += ((d_pos - d_neg) * self._scale) @ self._detail_values
-        return result
+
+def _piece_index(
+    log_u: int, indices: np.ndarray, values: np.ndarray, w1: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(starts, before, value)`` piece table of a synopsis.
+
+    ``starts`` is ascending and begins with a sentinel piece at ``0`` whose
+    ``before`` and ``value`` are zero, so ``prefix(0)`` needs no special case;
+    every other entry is computed as described in the module docstring.
+    """
+    u = 1 << log_u
+    detail = indices[1:] if indices.size and indices[0] == 1 else indices
+    # Level j of detail node i = 2^j + offset + 1, and its support start/width.
+    _, exponent = np.frexp((detail - 1).astype(np.float64))
+    level = exponent.astype(np.int64) - 1
+    width = np.int64(u) >> level
+    support_start = (detail - 1 - (np.int64(1) << level)) * width + 1
+    starts = np.unique(np.concatenate((
+        np.ones(1, dtype=np.int64), support_start,
+        support_start + (width >> 1), support_start + width)))
+    starts = starts[starts <= u]
+
+    # One row per level (none without detail coefficients): rows ascend in
+    # level and, within a row, nodes ascend with x, so the flattened lookup
+    # keys are sorted.
+    levels = np.arange(log_u if detail.size else 0, dtype=np.int64)[:, None]
+    shift = log_u - levels  # log2 of the node width
+    node_width = np.int64(1) << shift
+    before_x = starts - 1
+    offset = before_x & (node_width - 1)  # x - s_j: keys of the node before x
+    node = (np.int64(1) << levels) + (before_x >> shift) + 1
+    slot = np.searchsorted(indices, node.ravel()).reshape(node.shape)
+    np.minimum(slot, indices.size - 1, out=slot)
+    scaled = np.where(indices[slot] == node, values[slot], 0.0)
+    scaled /= np.sqrt(node_width.astype(np.float64))
+
+    half = node_width >> 1
+    inv_sqrt_u = 1.0 / math.sqrt(u)
+    value = np.zeros(starts.size + 1, dtype=np.float64)
+    before = np.zeros(starts.size + 1, dtype=np.float64)
+    value[1:] = w1 * inv_sqrt_u + np.where(offset < half, -scaled, scaled).sum(axis=0)
+    counts = np.maximum(offset - half, 0) - np.minimum(offset, half)  # pos - neg
+    before[1:] = w1 * (before_x * inv_sqrt_u) + (counts * scaled).sum(axis=0)
+    all_starts = np.zeros(starts.size + 1, dtype=np.int64)
+    all_starts[1:] = starts
+    for array in (all_starts, before, value):
+        array.setflags(write=False)
+    return all_starts, before, value

@@ -19,18 +19,12 @@ Concurrency model:
   dropped together, and the next query for that name faults it
   back in from the store (re-resolving the latest version, exactly as a
   fresh first touch would).  Eviction never changes answers, only which
-  payloads are resident.
-* **Executor pluggability** — batches larger than ``shard_size`` can be
-  fanned out across the PR-1 :class:`~repro.mapreduce.executor.Executor`
-  seam via generic :class:`~repro.mapreduce.executor.FunctionTaskSpec` tasks:
-  a :class:`~repro.mapreduce.executor.SerialExecutor` evaluates shards inline
-  while a :class:`~repro.mapreduce.executor.ParallelExecutor` spreads them
-  over worker processes.  Shard results are merged in task order, so the
-  answer vector is independent of the executor (same guarantee the MapReduce
-  runtime makes for build jobs).  With no executor configured the server
-  evaluates every batch in one vectorized pass, which is the right default:
-  the numpy engine clears hundreds of thousands of queries per second per
-  core, so process fan-out only pays off for very large batches.
+  payloads are resident.  The LRU order is kept per handle, so touching a
+  synopsis is one ``move_to_end`` however many synopses are resident.
+* **In-process evaluation** — every batch is answered by the synopsis'
+  resident engine in the calling thread.  A lookup costs ``O(log k)`` per
+  query and ``O(q)`` memory (see :mod:`repro.serving.engine`), so there is
+  nothing to gain from shipping shards of a batch to worker processes.
 """
 
 from __future__ import annotations
@@ -43,29 +37,14 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import InvalidParameterError, SynopsisIntegrityError
-from repro.mapreduce.executor import Executor, FunctionTaskSpec
-from repro.mapreduce.serialization import zero_copy_default
 from repro.serving.engine import BatchQueryEngine, normalize_selectivities
 from repro.serving.store import StoredSynopsis, SynopsisStore
 from repro.serving.workload import QueryWorkload
-from repro.telemetry import apply_task_metrics, get_telemetry
+from repro.telemetry import get_telemetry
 
-__all__ = ["QueryServer", "evaluate_range_shard"]
+__all__ = ["QueryServer"]
 
 logger = logging.getLogger(__name__)
-
-
-def evaluate_range_shard(payload: Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """Worker entry point: evaluate one shard of a range-sum batch.
-
-    Module-level (picklable) so a ParallelExecutor can ship it to worker
-    processes; rebuilds an engine from the coefficient arrays and evaluates
-    its slice of the batch.  Shared by :class:`QueryServer`'s
-    single-synopsis sharding and the service façade's multi-synopsis fan-out.
-    """
-    u, indices, values, los, his = payload
-    engine = BatchQueryEngine.from_arrays(u, indices, values)
-    return engine.range_sum_many(los, his)
 
 
 class QueryServer:
@@ -73,44 +52,30 @@ class QueryServer:
 
     Args:
         store: the persistent catalog to serve from.
-        executor: optional task executor for sharded evaluation of large
-            batches; ``None`` evaluates every batch in one vectorized pass.
-        shard_size: minimum queries per shard when an executor is configured;
-            batches at or below this size are never sharded.
         max_synopses: LRU bound on concurrently materialised synopses
             (engines + payloads); ``None`` keeps every synopsis ever touched.
-        zero_copy: whether fan-out shard tasks ship their coefficient arrays
-            out-of-band through shared memory (see
-            :attr:`~repro.service.profile.RuntimeProfile.zero_copy`); ``None``
-            defers to the process-wide default.
     """
 
     def __init__(
         self,
         store: SynopsisStore,
         *,
-        executor: Optional[Executor] = None,
-        shard_size: int = 8192,
         max_synopses: Optional[int] = 64,
-        zero_copy: Optional[bool] = None,
     ) -> None:
-        if shard_size < 1:
-            raise InvalidParameterError(f"shard_size must be positive, got {shard_size}")
         if max_synopses is not None and max_synopses < 1:
             raise InvalidParameterError(
                 f"max_synopses must be positive or None, got {max_synopses}"
             )
         self.store = store
-        self.executor = executor
-        self.shard_size = shard_size
         self.max_synopses = max_synopses
-        self.zero_copy = zero_copy
         self._lock = threading.Lock()
-        # LRU engine table: least recently used first.  A synopsis resolved
-        # as "latest" occupies two keys — (name, None) and its pinned
-        # (name, version) — pointing at one shared handle; the eviction bound
-        # counts distinct handles, and touching either key refreshes both.
-        self._synopses: "OrderedDict[Tuple[str, Optional[int]], StoredSynopsis]" = OrderedDict()
+        # Engine table.  A synopsis resolved as "latest" occupies two keys —
+        # (name, None) and its pinned (name, version) — pointing at one shared
+        # handle.  The LRU is ordered by handle (least recently used first)
+        # and maps each handle to its keys, so a touch through either key is
+        # one move_to_end and an eviction drops the handle with its aliases.
+        self._synopses: Dict[Tuple[str, Optional[int]], StoredSynopsis] = {}
+        self._lru: "OrderedDict[StoredSynopsis, List[Tuple[str, Optional[int]]]]" = OrderedDict()
         self._queries_served = 0
         self._batches_served = 0
         self._synopses_evicted = 0
@@ -127,15 +92,15 @@ class QueryServer:
             handle = self._synopses.get(key)
             if handle is None:
                 handle = self.store.load(name, version)
-                self._synopses[key] = handle
+                keys = [key]
                 if version is None:
                     # Pin the resolved version too, so explicit and implicit
                     # lookups share one engine.
-                    self._synopses.setdefault(
-                        (name, handle.metadata.version), handle
-                    )
+                    keys.append((name, handle.metadata.version))
+                self._insert_locked(handle, keys)
                 self._evict_locked(keep=handle)
-            self._touch_locked(handle)
+            else:
+                self._lru.move_to_end(handle)
             return handle
 
     def engine(self, name: str, version: Optional[int] = None) -> BatchQueryEngine:
@@ -165,11 +130,10 @@ class QueryServer:
             fallback = self.store.load_intact(name, version)
             fallback_engine = fallback.engine()
             with self._lock:
-                for key in [k for k, h in self._synopses.items() if h is handle]:
+                keys = self._lru.pop(handle, [])
+                for key in keys:
                     self._synopses[key] = fallback
-                self._synopses.setdefault(
-                    (name, fallback.metadata.version), fallback
-                )
+                self._insert_locked(fallback, keys + [(name, fallback.metadata.version)])
                 self._degraded[name] = {
                     "requested_version": int(bad_version),
                     "serving_version": int(fallback.metadata.version),
@@ -192,6 +156,7 @@ class QueryServer:
         """
         with self._lock:
             self._synopses.clear()
+            self._lru.clear()
             self._degraded.clear()
 
     # ---------------------------------------------------------------- queries
@@ -204,16 +169,7 @@ class QueryServer:
         version: Optional[int] = None,
     ) -> np.ndarray:
         """Answer a batch of range-sum queries against one synopsis."""
-        engine = self.engine(name, version)
-        los = np.atleast_1d(np.asarray(los, dtype=np.int64))
-        his = np.atleast_1d(np.asarray(his, dtype=np.int64))
-        if (
-            self.executor is not None
-            and los.size > self.shard_size
-        ):
-            results = self._sharded_range_sums(engine, los, his)
-        else:
-            results = engine.range_sum_many(los, his)
+        results = self.engine(name, version).range_sum_many(los, his)
         self._count(results.size)
         return results
 
@@ -270,7 +226,7 @@ class QueryServer:
                 "queries_served": self._queries_served,
                 "batches_served": self._batches_served,
                 "synopses_loaded": loaded,
-                "synopses_resident": len({id(h) for h in self._synopses.values()}),
+                "synopses_resident": len(self._lru),
                 "synopses_evicted": self._synopses_evicted,
                 "degraded": {name: dict(info)
                              for name, info in self._degraded.items()},
@@ -285,56 +241,23 @@ class QueryServer:
         registry.inc("repro_server_queries_total", int(queries))
         registry.inc("repro_server_batches_total")
 
-    def _touch_locked(self, handle: StoredSynopsis) -> None:
-        """Mark a handle most-recently-used (all alias keys move together)."""
-        if self.max_synopses is None:
-            return
-        for key in [k for k, h in self._synopses.items() if h is handle]:
-            self._synopses.move_to_end(key)
+    def _insert_locked(
+        self, handle: StoredSynopsis, keys: List[Tuple[str, Optional[int]]]
+    ) -> None:
+        """Register a newly loaded handle, most recently used, under its free keys."""
+        owned = [key for key in keys if self._synopses.setdefault(key, handle) is handle]
+        if owned:
+            self._lru[handle] = owned
 
     def _evict_locked(self, keep: StoredSynopsis) -> None:
         """Drop least-recently-used handles until the table fits the bound."""
         if self.max_synopses is None:
             return
-        while len({id(h) for h in self._synopses.values()}) > self.max_synopses:
-            victim = next(
-                (h for h in self._synopses.values() if h is not keep), None
-            )
+        while len(self._lru) > self.max_synopses:
+            victim = next((h for h in self._lru if h is not keep), None)
             if victim is None:
                 return
-            for key in [k for k, h in self._synopses.items() if h is victim]:
+            for key in self._lru.pop(victim):
                 del self._synopses[key]
             victim.release()
             self._synopses_evicted += 1
-
-    def _sharded_range_sums(
-        self, engine: BatchQueryEngine, los: np.ndarray, his: np.ndarray
-    ) -> np.ndarray:
-        indices, values = engine.coefficient_arrays()
-        num_shards = -(-los.size // self.shard_size)  # ceil division
-        bounds = [
-            (shard * self.shard_size, min((shard + 1) * self.shard_size, los.size))
-            for shard in range(num_shards)
-        ]
-        zero_copy = (zero_copy_default() if self.zero_copy is None
-                     else bool(self.zero_copy))
-        specs = [
-            FunctionTaskSpec(
-                task_id=shard,
-                function=evaluate_range_shard,
-                payload=(engine.u, indices, values, los[start:stop], his[start:stop]),
-                zero_copy=zero_copy,
-            )
-            for shard, (start, stop) in enumerate(bounds)
-        ]
-        assert self.executor is not None
-        telemetry = get_telemetry()
-        logger.debug("sharding %d queries into %d shard(s)", los.size, num_shards)
-        with telemetry.tracer.span("server.fanout", kind="serving",
-                                   queries=int(los.size), shards=num_shards):
-            task_results = self.executor.run_tasks(specs, slots=num_shards)
-        # Shard timings ride each TaskResult as a metrics delta; replay them
-        # in task order, the same barrier discipline the runtime uses.
-        apply_task_metrics(task_results, telemetry.metrics)
-        results: List[np.ndarray] = [result.pairs[0][1] for result in task_results]
-        return np.concatenate(results)

@@ -367,8 +367,8 @@ class StoredSynopsis:
                 if isinstance(owner, mmap.mmap):
                     owner.close()
             except BufferError:
-                # A caller still holds an aliasing view (an in-flight query
-                # shard); the bytes free when the last view drops.
+                # A caller still holds an aliasing view (an engine still
+                # answering a batch); the bytes free when the last view drops.
                 pass
             get_telemetry().metrics.adjust_gauge("repro_payload_bytes_resident",
                                                  -freed,

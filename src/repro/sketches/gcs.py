@@ -173,10 +173,16 @@ class GroupCountSketch:
             raise SketchError("item outside the sketch universe")
         groups = items >> self.shift
         for row in range(self.depth):
-            buckets = self._group_bucket[row, groups]
-            subbuckets = self._item_bucket[row, items]
+            # Adding at bucket * item_buckets + sub_bucket into a flat view of
+            # the row takes numpy's 1-D np.add.at fast path, and every cell
+            # still accumulates its deltas in item order, so the table is
+            # bit-identical to a 2-D (bucket, sub_bucket) add.  A row of the
+            # C-contiguous table reshapes to a view; adding into a copy would
+            # silently drop the updates.
+            cells = (self._group_bucket[row, groups] * self.item_buckets
+                     + self._item_bucket[row, items])
             signed = deltas * self._item_sign[row, items]
-            np.add.at(self._table[row], (buckets, subbuckets), signed)
+            np.add.at(self._table[row].reshape(-1), cells, signed)
         self.update_ops += int(items.size) * self.depth
 
     # --------------------------------------------------------------- queries

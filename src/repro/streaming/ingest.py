@@ -78,7 +78,6 @@ class StreamIngestor:
         self.executor = executor
         self.shard_size = shard_size
         self._pending = PartialSynopsis.empty(u, partition=partition)
-        self._batches_counted = 0
 
     # ---------------------------------------------------------------- counting
     def batch(
@@ -129,7 +128,6 @@ class StreamIngestor:
         """
         partial = self.batch(inserts, deletes)
         self._pending = self._pending.merge(partial)
-        self._batches_counted += 1
         return partial
 
     # ------------------------------------------------------------ accumulation
@@ -137,11 +135,6 @@ class StreamIngestor:
     def pending(self) -> PartialSynopsis:
         """The merged delta of every accepted-but-undrained batch."""
         return self._pending
-
-    @property
-    def batches_counted(self) -> int:
-        """Batches accepted over this ingestor's lifetime."""
-        return self._batches_counted
 
     def drain(self) -> PartialSynopsis:
         """Hand over the accumulated partial and reset the accumulator."""

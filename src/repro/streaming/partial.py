@@ -193,10 +193,5 @@ class PartialSynopsis:
         """Raw updates folded in (insertions plus deletions)."""
         return self.insertions + self.deletions
 
-    @property
-    def net_count(self) -> float:
-        """Net change to the dataset size (insertions minus deletions)."""
-        return float(sum(self.counts.values()))
-
     def __len__(self) -> int:
         return len(self.counts)

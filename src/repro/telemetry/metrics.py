@@ -355,10 +355,10 @@ def apply_task_metrics(results: Iterable[Any],
                        registry: Optional[MetricsRegistry]) -> None:
     """Replay ``TaskResult.metrics`` deltas into ``registry`` in task order.
 
-    The shared helper behind every barrier that folds worker results back
-    into the coordinator: the job runner's phase merge, the server's sharded
-    fan-out and the stream ingestor's sharded counting all call this with
-    their already-ordered result lists.
+    The helper for a barrier that folds worker results back into the
+    coordinator: the stream ingestor's sharded counting calls it with its
+    already-ordered result list (the job runner's phase merge replays each
+    result's delta inline, in the same order).
     """
     if registry is None:
         return

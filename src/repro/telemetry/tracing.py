@@ -3,8 +3,8 @@
 A :class:`Tracer` collects :class:`SpanEvent` records — named, timed spans
 with a kind, free-form attributes and parent links — from every layer of the
 pipeline: job → round → phase on the build side, ingest → maintain → publish
-on the streaming side, query batch → shard fan-out on the serving side, and
-save/load/integrity-check in the store.
+on the streaming side, query batch → multi-synopsis fan-out on the serving
+side, and save/load/integrity-check in the store.
 
 Design constraints (the telemetry hard invariant):
 

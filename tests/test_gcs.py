@@ -52,6 +52,29 @@ class TestGroupCountSketch:
         for group in range(b.num_groups):
             assert a.group_energy(group) == pytest.approx(b.group_energy(group))
 
+    def test_batch_update_matches_per_item_loops_bit_for_bit(self):
+        """update_batch accumulates every cell in item order: the table equals
+        per-item update() calls and a plain Python loop over the shared hash
+        tables, bit for bit, repeated items and cell collisions included."""
+        shape = dict(universe=4096, shift=3, depth=3, group_buckets=64,
+                     item_buckets=16, seed=5)
+        rng = np.random.default_rng(8)
+        items = rng.integers(0, 4096, 3_000)
+        items[::7] = 17
+        deltas = rng.normal(0.0, 50.0, items.size)
+        batched = GroupCountSketch(**shape)
+        batched.update_batch(items, deltas)
+        one_by_one = GroupCountSketch(**shape)
+        expected = np.zeros((3, 64, 16))
+        for item, delta in zip(items.tolist(), deltas.tolist()):
+            one_by_one.update(item, delta)
+            for row in range(3):
+                bucket = batched._group_bucket[row, item >> 3]
+                sub = batched._item_bucket[row, item]
+                expected[row, bucket, sub] += delta * batched._item_sign[row, item]
+        assert batched._table.tobytes() == expected.tobytes()
+        assert one_by_one._table.tobytes() == expected.tobytes()
+
     def test_merge_in_place_is_linear(self):
         a = _populated_sketch(seed=21)
         b = GroupCountSketch(universe=256, shift=4, depth=3, group_buckets=32,

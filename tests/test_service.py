@@ -29,6 +29,7 @@ from repro.mapreduce.executor import (
 )
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.runtime import JobRunner
+from repro.mapreduce.serialization import live_shipment_segments
 from repro.service import (
     AlgorithmSpec,
     BuildReport,
@@ -41,6 +42,7 @@ from repro.serving.engine import BatchQueryEngine
 from repro.serving.server import QueryServer
 from repro.serving.store import SynopsisStore
 from repro.serving.workload import WorkloadGenerator
+from repro.telemetry import get_telemetry
 
 U = 256
 K = 12
@@ -329,6 +331,33 @@ class TestFanoutDeterminism:
             executor.close()
         for name in ("web", "orders"):
             assert np.array_equal(serial[name], parallel[name])
+        assert live_shipment_segments() == ()
+
+    def test_query_ships_nothing(self, reports):
+        """The fan-out runs in-process, even on a process-pool profile: no
+        task crosses the executor seam, so no byte is shipped."""
+        serial_service, _ = reports
+        metrics = get_telemetry().metrics
+
+        def shipped():
+            return sum(entry["value"] for entry in metrics.snapshot()["counters"]
+                       if entry["name"] == "repro_task_ship_bytes_total")
+
+        workload = WorkloadGenerator(U, seed=31).generate(20_000, "mixed")
+        before = shipped()
+        executor = ParallelExecutor(max_workers=2)
+        try:
+            service = SynopsisService(store=serial_service.store,
+                                      profile=RuntimeProfile(executor=executor),
+                                      shard_size=512)
+            answers = service.query_workload(["web", "orders"], workload)
+        finally:
+            executor.close()
+        assert shipped() == before
+        assert live_shipment_segments() == ()
+        for name in ("web", "orders"):
+            assert np.array_equal(answers[name],
+                                  serial_service.query_workload([name], workload)[name])
 
     def test_repeat_queries_are_bit_identical(self, reports):
         service, _ = reports

@@ -1,7 +1,8 @@
-"""Tests for the thread-safe, executor-pluggable query server (repro.serving.server)."""
+"""Tests for the thread-safe query server (repro.serving.server)."""
 
 from __future__ import annotations
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,12 +12,11 @@ from repro.core.histogram import WaveletHistogram
 from repro.errors import InvalidParameterError, SynopsisNotFoundError
 from repro.mapreduce.executor import (
     FunctionTaskSpec,
-    ParallelExecutor,
     SerialExecutor,
     execute_function_task,
 )
 from repro.serving.server import QueryServer
-from repro.serving.store import SynopsisStore
+from repro.serving.store import StoredSynopsis, SynopsisStore
 from repro.serving.workload import WorkloadGenerator
 
 
@@ -64,9 +64,12 @@ class TestQueryServer:
         with pytest.raises(SynopsisNotFoundError):
             QueryServer(populated_store).range_sums("nope", [1], [2])
 
-    def test_rejects_bad_shard_size(self, populated_store):
-        with pytest.raises(InvalidParameterError):
-            QueryServer(populated_store, shard_size=0)
+    def test_no_executor_or_sharding_options(self, populated_store):
+        """Batches are answered in-process: nothing to shard or ship."""
+        for option in ({"executor": SerialExecutor()}, {"shard_size": 512},
+                       {"zero_copy": True}):
+            with pytest.raises(TypeError):
+                QueryServer(populated_store, **option)
 
     def test_workload_replay_matches_direct_engine(self, populated_store):
         server = QueryServer(populated_store)
@@ -153,6 +156,80 @@ class TestEngineTableEviction:
         # The hot synopsis was never evicted: same handle throughout.
         assert server.synopsis("syn-0") is hot
 
+    def test_eviction_order_matches_a_list_model(self, tmp_path, monkeypatch):
+        """A scripted touch/fault sequence evicts exactly what a plain
+        most-recently-used-last list would."""
+        store = self._many_synopses_store(tmp_path)
+        evicted = []
+        release = StoredSynopsis.release
+
+        def recording_release(handle):
+            evicted.append(handle.metadata.name)
+            return release(handle)
+
+        monkeypatch.setattr(StoredSynopsis, "release", recording_release)
+        bound = 3
+        server = QueryServer(store, max_synopses=bound)
+        model, expected = [], []
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            name = f"syn-{int(rng.integers(6))}"
+            # A resident synopsis is also reachable through its pinned
+            # version: the alias key must refresh the same LRU entry.
+            pinned = name in model and rng.random() < 0.3
+            server.range_sums(name, [1], [256], version=1 if pinned else None)
+            if name in model:
+                model.remove(name)
+            model.append(name)
+            if len(model) > bound:
+                expected.append(model.pop(0))
+        assert evicted == expected
+        stats = server.stats()
+        assert stats["synopses_resident"] == len(model)
+        assert stats["synopses_evicted"] == len(expected)
+        assert stats["synopses_loaded"] == len(model)
+
+    def test_concurrent_touches_keep_the_table_consistent(self, tmp_path):
+        """Eight threads faulting and touching through both alias keys under
+        a tight bound: every loaded handle is either resident or evicted
+        exactly once, and every answer matches an unbounded server's."""
+        store = self._many_synopses_store(tmp_path)
+        loads = []
+        load = store.load
+
+        def counting_load(name, version=None):
+            handle = load(name, version)
+            loads.append(name)
+            return handle
+
+        store.load = counting_load
+        server = QueryServer(store, max_synopses=2)
+        names = [f"syn-{index}" for index in range(6)]
+        workload = WorkloadGenerator(256, seed=9).generate(64, "mixed")
+        reference = {name: QueryServer(store, max_synopses=None).serve_workload(name, workload)
+                     for name in names}
+        loads.clear()
+
+        def hammer(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(200):
+                name = names[int(rng.integers(len(names)))]
+                version = 1 if rng.random() < 0.3 else None
+                answer = server.serve_workload(name, workload, version=version)
+                assert np.array_equal(answer, reference[name])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for future in [pool.submit(hammer, seed) for seed in range(8)]:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        stats = server.stats()
+        assert stats["synopses_resident"] <= 2
+        assert len(loads) == stats["synopses_resident"] + stats["synopses_evicted"]
+
     def test_rejects_non_positive_bound(self, populated_store):
         with pytest.raises(InvalidParameterError):
             QueryServer(populated_store, max_synopses=0)
@@ -164,29 +241,3 @@ class TestExecutorPluggability:
         result = execute_function_task(spec)
         assert result.task_id == 3
         assert result.pairs == [("result", 3, 0)]
-
-    def test_serial_executor_sharding_matches_unsharded(self, populated_store):
-        workload = WorkloadGenerator(1024, seed=17).generate(4_000, "mixed")
-        plain = QueryServer(populated_store).serve_workload("web", workload)
-        sharded_server = QueryServer(
-            populated_store, executor=SerialExecutor(), shard_size=512
-        )
-        sharded = sharded_server.serve_workload("web", workload)
-        assert np.array_equal(sharded, plain)
-
-    def test_small_batches_are_never_sharded(self, populated_store):
-        server = QueryServer(populated_store, executor=SerialExecutor(), shard_size=512)
-        small = WorkloadGenerator(1024, seed=19).generate(100, "uniform")
-        plain = QueryServer(populated_store).serve_workload("web", small)
-        assert np.array_equal(server.serve_workload("web", small), plain)
-
-    def test_parallel_executor_sharding_matches_serial(self, populated_store):
-        workload = WorkloadGenerator(1024, seed=23).generate(6_000, "mixed")
-        plain = QueryServer(populated_store).serve_workload("web", workload)
-        executor = ParallelExecutor(max_workers=2)
-        try:
-            server = QueryServer(populated_store, executor=executor, shard_size=1024)
-            sharded = server.serve_workload("web", workload)
-        finally:
-            executor.close()
-        np.testing.assert_allclose(sharded, plain, rtol=1e-12, atol=1e-9)
