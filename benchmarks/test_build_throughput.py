@@ -8,8 +8,8 @@ reduce-side grouping) must be at least **5x faster** end to end than the seed
 record-at-a-time path — while producing *bit-identical* coefficients, counter
 totals and per-round outputs, which this benchmark re-verifies on every run.
 
-Both planes run through the same executor (serial by default; pass
-``--executor parallel`` to re-measure the ratio under the process pool — the
+Both planes run through the same profile (serial by default; pass
+``--profile parallel`` to re-measure the ratio under the process pool — the
 planes are orthogonal to the executor seam).
 
 Printed series (``-s`` shows them): wall-clock seconds and records/second
@@ -36,7 +36,8 @@ INPUT_PATH = "/data/build-throughput"
 
 def test_build_throughput(experiment_config):
     quick_scale = os.environ.get("REPRO_BENCH_SCALE") == "quick"
-    config = ExperimentConfig.quick() if quick_scale else experiment_config
+    config = (ExperimentConfig.quick().with_overrides(profile=experiment_config.profile)
+              if quick_scale else experiment_config)
     dataset = config.build_dataset()
     cluster = config.build_cluster(dataset)
     profile = config.build_profile(cluster)
@@ -66,7 +67,7 @@ def test_build_throughput(experiment_config):
     lines = [
         f"workload: Send-V build over the {workload_name} dataset "
         f"(n={dataset.n}, u=2^{config.u.bit_length() - 1}, k={config.k}, "
-        f"~{config.target_splits} splits, executor={config.executor})",
+        f"~{config.target_splits} splits, {profile.describe()})",
         "bit-identical coefficients, counters and round outputs verified",
         f"{'data plane':<12} {'seconds':>10} {'records/s':>14} {'speedup':>9}",
         f"{'records':<12} {records_seconds:>10.3f} "

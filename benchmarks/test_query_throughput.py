@@ -21,6 +21,7 @@ from __future__ import annotations
 from repro.core.histogram import WaveletHistogram
 from repro.serving.bench import measure_serving_throughput
 from repro.serving.store import SynopsisStore
+from repro.serving.workload import WorkloadGenerator
 
 NUM_QUERIES = 10_000
 REQUIRED_SPEEDUP = 20.0
@@ -39,7 +40,7 @@ def test_query_throughput(experiment_config, tmp_path):
     served = store.load("fig10-anchor", metadata.version)
 
     report = measure_serving_throughput(
-        served, config.build_workload(count=NUM_QUERIES, mix="mixed"))
+        served, WorkloadGenerator(config.u, seed=config.seed).generate(NUM_QUERIES, "mixed"))
 
     header = (
         f"workload: {NUM_QUERIES} mixed range queries over the fig10 anchor "

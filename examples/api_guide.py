@@ -52,7 +52,8 @@ def main() -> None:
     profile = RuntimeProfile(seed=7, executor="serial", data_plane="batch")
     print(f"profile: {profile.describe()}")
 
-    # The CLI spells the same value as a string: --profile "parallel:4" or
+    # The CLI spells the same value as one string, its only runtime flag:
+    # --profile "parallel:4" or
     # --profile "executor=parallel,workers=4,data-plane=records,seed=7".
     assert RuntimeProfile.parse("serial").executor_name == "serial"
 
@@ -209,8 +210,7 @@ def main() -> None:
     # from the task's own RNG, whose key never includes the attempt number.
     # A retried attempt therefore re-runs the *identical* computation, so a
     # faulty run is bit-identical to a clean one.  The profile carries the
-    # chaos dial; the CLI spells it --fault-rate 0.4 --fault-seed 11 (or
-    # profile keys fault-rate= / fault-seed=).
+    # chaos dial; the CLI spells it --profile "serial,fault-rate=0.4,fault-seed=3".
     chaos = Telemetry()
     previous = set_telemetry(chaos)
     try:

@@ -31,7 +31,7 @@ Ten sub-commands are provided::
         in-process, in name order, so the answers never depend on the
         executor).
 
-    python -m repro serve-bench [--quick] [--count N] [--mix mixed]
+    python -m repro serve-bench [--quick] [--count 10000] [--mix mixed]
         Measure serving throughput: the vectorized batch engine versus the
         scalar per-query loop, verifying on the way that both agree to within
         1e-9.
@@ -53,16 +53,15 @@ Ten sub-commands are provided::
         from a JSONL trace written by ``--trace``, plus an optional metrics
         snapshot summary.
 
-``compare``, ``figure`` and ``build`` accept ``--executor {serial,parallel}``,
-``--workers N``, ``--data-plane {batch,records}``, ``--concurrent-jobs N``
-(schedule up to N algorithm builds at once on the cluster's shared slot
-pool) and the chaos-testing pair ``--fault-rate P`` / ``--fault-seed S``
-(deterministically inject transient task faults that are retried), or the
-combined ``--profile`` specification (e.g. ``--profile parallel:4`` or
-``--profile executor=parallel,data-plane=records,concurrent-jobs=7``) which
-overrides the individual flags; all reported numbers are bit-identical across
-executors, data planes, concurrency levels and fault injection, only the
-wall-clock time changes.
+``compare``, ``figure`` and ``build`` take their runtime settings from one
+``--profile`` specification (see
+:meth:`~repro.service.profile.RuntimeProfile.parse_overrides`): an executor
+shorthand such as ``--profile parallel:4``, or key=value pairs such as
+``--profile executor=parallel,data-plane=records,concurrent-jobs=7`` or the
+chaos-testing ``--profile serial,fault-rate=0.4,fault-seed=3`` (inject
+transient task faults that are retried).  All reported numbers are
+bit-identical across executors, data planes, concurrency levels and fault
+injection; only the wall-clock time changes.
 
 Expected failures (any :class:`~repro.errors.ReproError` subclass — invalid
 parameters, a task retry budget exhausting, a quarantined synopsis with no
@@ -92,7 +91,6 @@ from repro.errors import ReproError, SchedulerError, ServingError
 from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_algorithms, standard_algorithms
-from repro.mapreduce.executor import DATA_PLANE_NAMES, EXECUTOR_NAMES
 from repro.service import RuntimeProfile, SynopsisService
 from repro.serving.bench import measure_serving_throughput
 from repro.serving.server import QueryServer
@@ -204,12 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--k", type=int, default=None, help="histogram size (default: 30)")
     compare.add_argument("--epsilon", type=float, default=None,
                          help="sampling parameter (default: configuration value)")
-    _add_executor_arguments(compare)
+    _add_profile_argument(compare)
 
     figure = subparsers.add_parser("figure", help="regenerate one figure of the evaluation")
     figure.add_argument("name", choices=sorted(FIGURE_DRIVERS), help="figure driver name")
     figure.add_argument("--quick", action="store_true", help="use the small test workload")
-    _add_executor_arguments(figure)
+    _add_profile_argument(figure)
 
     subparsers.add_parser("list-figures", help="list available figure drivers")
 
@@ -226,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--k", type=int, default=None, help="histogram size (default: 30)")
     build.add_argument("--epsilon", type=float, default=None,
                        help="sampling parameter (default: configuration value)")
-    _add_executor_arguments(build)
+    _add_profile_argument(build)
     _add_telemetry_arguments(build)
 
     query = subparsers.add_parser(
@@ -254,10 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="measure batch-engine query throughput against the scalar loop",
     )
     bench.add_argument("--quick", action="store_true", help="use the small test workload")
-    bench.add_argument("--count", type=int, default=None,
-                       help="queries to serve (default: configuration num_queries)")
-    bench.add_argument("--mix", choices=list(MIX_NAMES), default=None,
-                       help="workload mix (default: configuration query_mix)")
+    bench.add_argument("--count", type=int, default=10_000,
+                       help="queries to serve (default: 10000)")
+    bench.add_argument("--mix", choices=list(MIX_NAMES), default="mixed",
+                       help="workload mix (default: mixed)")
     bench.add_argument("--store", default=None, metavar="DIR",
                        help="persist/reload the synopsis through this store "
                             "(default: a temporary store)")
@@ -289,10 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="generated workload mix (default: mixed)")
     fanout.add_argument("--seed", type=int, default=7,
                         help="workload seed (default: 7)")
-    fanout.add_argument("--profile", default=None, metavar="SPEC",
-                        help="runtime profile of the service, e.g. "
-                             "'parallel:4' (default: serial); queries are "
-                             "answered in-process whatever its executor")
 
     ingest = subparsers.add_parser(
         "ingest", help="stream generated update batches into a synopsis "
@@ -366,100 +360,50 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--executor", choices=list(EXECUTOR_NAMES), default="serial",
-        help="task executor for the MapReduce phases; 'parallel' runs map tasks "
-             "and reduce partitions in a process pool with bit-identical results",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes for --executor parallel (default: CPU count)",
-    )
-    parser.add_argument(
-        "--data-plane", dest="data_plane", choices=list(DATA_PLANE_NAMES),
-        default="batch",
-        help="how records move through the build runtime: 'batch' is the "
-             "columnar fast path, 'records' the record-at-a-time reference "
-             "path; results are bit-identical either way",
-    )
-    parser.add_argument(
-        "--concurrent-jobs", dest="concurrent_jobs", type=int, default=None,
-        metavar="N",
-        help="build up to N algorithms concurrently on the cluster's shared "
-             "map/reduce slot pool (default: 1, strictly sequential); "
-             "results are bit-identical for every N",
-    )
-    parser.add_argument(
-        "--fault-rate", dest="fault_rate", type=float, default=None,
-        metavar="P",
-        help="chaos testing: inject transient task faults with probability P "
-             "per attempt (deterministic given --fault-seed); retried runs "
-             "stay bit-identical to fault-free runs",
-    )
-    parser.add_argument(
-        "--fault-seed", dest="fault_seed", type=int, default=None, metavar="S",
-        help="seed of the injected-fault stream (default: 0); independent of "
-             "the build seed, so injection never perturbs task RNGs",
-    )
+def _add_profile_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile", default=None, metavar="SPEC",
-        help="combined runtime-profile specification overriding the flags "
-             "above: an executor shorthand ('serial', 'parallel', "
-             "'parallel:8') or key=value pairs over executor/workers/"
-             "seed/data-plane/concurrent-jobs/fault-rate/fault-seed, e.g. "
+        help="runtime profile of the builds (default: serial): an executor "
+             "shorthand ('serial', 'parallel', 'parallel:8') or key=value "
+             "pairs over executor/workers/seed/data-plane/concurrent-jobs/"
+             "fault-rate/fault-seed/zero-copy, e.g. "
              "'executor=parallel,data-plane=records' or "
-             "'parallel:4,concurrent-jobs=5'",
+             "'parallel:4,concurrent-jobs=5'; results are bit-identical "
+             "for every profile",
     )
 
 
 def _configuration(quick: bool, k: Optional[int] = None,
                    epsilon: Optional[float] = None,
-                   executor: str = "serial",
-                   workers: Optional[int] = None,
-                   data_plane: str = "batch",
-                   concurrent_jobs: Optional[int] = None,
-                   fault_rate: Optional[float] = None,
-                   fault_seed: Optional[int] = None,
                    profile: Optional[str] = None) -> ExperimentConfig:
     config = ExperimentConfig.quick() if quick else ExperimentConfig()
-    overrides = {"executor": executor, "workers": workers, "data_plane": data_plane}
+    overrides: Dict[str, object] = {}
     if k is not None:
         overrides["k"] = k
     if epsilon is not None:
         overrides["epsilon"] = epsilon
-    if concurrent_jobs is not None:
-        overrides["concurrent_jobs"] = concurrent_jobs
-    if fault_rate is not None:
-        overrides["fault_rate"] = fault_rate
-    if fault_seed is not None:
-        overrides["fault_seed"] = fault_seed
     if profile is not None:
-        # The combined --profile spec wins over the individual flags; only the
-        # keys actually present in the spec are applied.
-        overrides.update(RuntimeProfile.parse_overrides(profile))
+        settings = RuntimeProfile.parse_overrides(profile)
+        # The configuration's seed drives both the dataset and the build.
+        if "seed" in settings:
+            overrides["seed"] = settings.pop("seed")
+        overrides["profile"] = RuntimeProfile(**settings)
     return config.with_overrides(**overrides)
 
 
 def _run_compare(arguments: argparse.Namespace) -> List[str]:
     config = _configuration(arguments.quick, arguments.k, arguments.epsilon,
-                            executor=arguments.executor, workers=arguments.workers,
-                            data_plane=arguments.data_plane,
-                            concurrent_jobs=arguments.concurrent_jobs,
-                            fault_rate=arguments.fault_rate,
-                            fault_seed=arguments.fault_seed,
-                            profile=arguments.profile)
+                            arguments.profile)
     dataset = config.build_dataset()
-    cluster = config.build_cluster(dataset)
+    profile = config.build_profile(config.build_cluster(dataset))
     reference = dataset.frequency_vector()
     ideal_sse = WaveletHistogram.from_frequency_vector(reference, config.k).sse(reference)
     measurements = run_algorithms(dataset, standard_algorithms(config),
-                                  reference=reference,
-                                  profile=config.build_profile(cluster))
+                                  reference=reference, profile=profile)
     lines = [
         f"workload: n={dataset.n} u=2^{config.u.bit_length() - 1} alpha={config.alpha} "
         f"k={config.k} eps={config.epsilon} (~{config.target_splits} splits, "
-        f"executor={config.executor}, data-plane={config.data_plane})",
+        f"{profile.describe()})",
         f"{'algorithm':<12} {'rounds':>6} {'comm (bytes)':>14} {'time (s)':>12} {'SSE/ideal':>10}",
     ]
     for measurement in measurements:
@@ -472,13 +416,7 @@ def _run_compare(arguments: argparse.Namespace) -> List[str]:
 
 
 def _run_figure(arguments: argparse.Namespace) -> List[str]:
-    config = _configuration(arguments.quick, executor=arguments.executor,
-                            workers=arguments.workers,
-                            data_plane=arguments.data_plane,
-                            concurrent_jobs=arguments.concurrent_jobs,
-                            fault_rate=arguments.fault_rate,
-                            fault_seed=arguments.fault_seed,
-                            profile=arguments.profile)
+    config = _configuration(arguments.quick, profile=arguments.profile)
     table = FIGURE_DRIVERS[arguments.name](config)
     return [table.format()]
 
@@ -491,17 +429,11 @@ def _list_figures() -> List[str]:
 
 def _run_build(arguments: argparse.Namespace) -> List[str]:
     config = _configuration(arguments.quick, arguments.k, arguments.epsilon,
-                            executor=arguments.executor, workers=arguments.workers,
-                            data_plane=arguments.data_plane,
-                            concurrent_jobs=arguments.concurrent_jobs,
-                            fault_rate=arguments.fault_rate,
-                            fault_seed=arguments.fault_seed,
-                            profile=arguments.profile
-                            ).with_overrides(store_path=arguments.store)
+                            arguments.profile)
     dataset = config.build_dataset()
     algorithm = _build_algorithm(arguments.algorithm, config)
     profile = config.build_profile(config.build_cluster(dataset))
-    service = SynopsisService(store=config.build_store(), profile=profile)
+    service = SynopsisService(store=SynopsisStore(arguments.store), profile=profile)
     if profile.concurrent_jobs > 1:
         # Route the single build through the scheduler batch so the slot
         # pool statistics are observable (results are bit-identical).
@@ -581,9 +513,7 @@ def _run_serve_catalog(arguments: argparse.Namespace) -> List[str]:
 
 
 def _run_serve_query(arguments: argparse.Namespace) -> List[str]:
-    profile = (RuntimeProfile.parse(arguments.profile)
-               if arguments.profile is not None else RuntimeProfile())
-    service = SynopsisService(store=SynopsisStore(arguments.store), profile=profile)
+    service = SynopsisService(store=SynopsisStore(arguments.store))
     names = list(arguments.names)
     # One workload over the smallest domain among the targets, so every
     # query is valid against every synopsis it fans out to.
@@ -593,8 +523,7 @@ def _run_serve_query(arguments: argparse.Namespace) -> List[str]:
     answers = service.query_workload(names, workload)
     lines = [
         f"fanned {arguments.count} {arguments.mix} queries (seed {arguments.seed}, "
-        f"domain 2^{domain.bit_length() - 1}) across {len(names)} synopsis(es) "
-        f"[{profile.describe()}]",
+        f"domain 2^{domain.bit_length() - 1}) across {len(names)} synopsis(es)",
         f"{'name':<24} {'mean':>14} {'min':>14} {'max':>14}",
     ]
     for name in names:
@@ -608,8 +537,6 @@ def _run_serve_query(arguments: argparse.Namespace) -> List[str]:
 
 def _run_serve_bench(arguments: argparse.Namespace) -> List[str]:
     config = _configuration(arguments.quick)
-    count = arguments.count if arguments.count is not None else config.num_queries
-    mix = arguments.mix if arguments.mix is not None else config.query_mix
 
     dataset = config.build_dataset()
     reference = dataset.frequency_vector()
@@ -625,7 +552,8 @@ def _run_serve_bench(arguments: argparse.Namespace) -> List[str]:
     metadata = store.save("serve-bench", histogram, algorithm="exact-topk",
                           seed=config.seed)
     served = store.load("serve-bench", metadata.version)
-    workload = config.build_workload(count=count, mix=mix)
+    workload = WorkloadGenerator(config.u, seed=config.seed).generate(
+        arguments.count, arguments.mix)
 
     report = measure_serving_throughput(served, workload)
 
@@ -637,7 +565,7 @@ def _run_serve_bench(arguments: argparse.Namespace) -> List[str]:
         )
 
     header = (
-        f"serve-bench: {count} {mix} queries over {metadata.name} "
+        f"serve-bench: {arguments.count} {arguments.mix} queries over {metadata.name} "
         f"v{metadata.version} (u=2^{metadata.u.bit_length() - 1}, "
         f"{metadata.coefficient_count} coefficients)"
     )

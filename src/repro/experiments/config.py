@@ -29,10 +29,7 @@ from repro.data.generators import ZipfDatasetGenerator
 from repro.data.worldcup import WorldCupLikeGenerator
 from repro.errors import InvalidParameterError
 from repro.mapreduce.cluster import ClusterSpec, MachineSpec, paper_cluster
-from repro.mapreduce.executor import DATA_PLANE_NAMES, EXECUTOR_NAMES
 from repro.service.profile import RuntimeProfile
-from repro.serving.store import SynopsisStore
-from repro.serving.workload import MIX_NAMES, QueryWorkload, WorkloadGenerator
 
 __all__ = ["ExperimentConfig", "PAPER_REFERENCE_BYTES"]
 
@@ -64,28 +61,11 @@ class ExperimentConfig:
             communication position).
         seed: base RNG seed for data generation and sampling.
         reference_bytes: dataset size the time scaling maps to (50 GB).
-        executor: task executor the MapReduce phases run through (``"serial"``
-            or ``"parallel"``); results are executor-independent by
-            construction, so this only changes wall-clock time.
-        workers: worker processes for the parallel executor (machine CPU count
-            when ``None``).
-        data_plane: how records move through the build runtime (``"batch"``
-            for the columnar fast path, ``"records"`` for the record-at-a-time
-            reference path); results are plane-independent by construction,
-            so this only changes wall-clock time.
-        concurrent_jobs: how many algorithm builds ``run_algorithms`` may
-            schedule concurrently on the cluster's shared slot pool (1 admits
-            one build at a time); results are scheduling-independent by
-            construction, so this only changes wall-clock time.
-        zero_copy: whether task specs ship to parallel workers out-of-band
-            through shared memory (``None`` defers to the process default,
-            normally on); results are bit-identical either way, so this only
-            changes bytes copied and wall-clock time.
-        store_path: root directory of the synopsis store built histograms are
-            published to (``None`` disables persistence).
-        query_mix: workload mix served by the query benchmarks
-            (one of :data:`repro.serving.workload.MIX_NAMES`).
-        num_queries: queries per generated serving workload.
+        profile: how every build of the experiment executes (executor,
+            workers, data plane, concurrent jobs, fault injection, zero-copy
+            shipping); results are profile-independent by construction, so
+            this only changes wall-clock time.  :meth:`build_profile`
+            replaces its cluster and seed.
     """
 
     u: int = 2 ** 15
@@ -99,88 +79,24 @@ class ExperimentConfig:
     sketch_bytes_per_level: int = 8 * 1024
     seed: int = 42
     reference_bytes: int = PAPER_REFERENCE_BYTES
-    executor: str = "serial"
-    workers: Optional[int] = None
-    data_plane: str = "batch"
-    concurrent_jobs: int = 1
-    fault_rate: float = 0.0
-    fault_seed: int = 0
-    zero_copy: Optional[bool] = None
-    store_path: Optional[str] = None
-    query_mix: str = "mixed"
-    num_queries: int = 10_000
+    profile: RuntimeProfile = RuntimeProfile()
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.target_splits < 1:
             raise InvalidParameterError("n and target_splits must be positive")
         if self.epsilon <= 0:
             raise InvalidParameterError("epsilon must be positive")
-        if self.executor not in EXECUTOR_NAMES:
-            raise InvalidParameterError(
-                f"executor must be one of {EXECUTOR_NAMES}, got {self.executor!r}"
-            )
-        if self.data_plane not in DATA_PLANE_NAMES:
-            raise InvalidParameterError(
-                f"data_plane must be one of {DATA_PLANE_NAMES}, got {self.data_plane!r}"
-            )
-        if self.concurrent_jobs < 1:
-            raise InvalidParameterError(
-                f"concurrent_jobs must be >= 1, got {self.concurrent_jobs}"
-            )
-        if not 0.0 <= self.fault_rate < 1.0:
-            raise InvalidParameterError(
-                f"fault_rate must be in [0, 1), got {self.fault_rate}"
-            )
-        if self.query_mix not in MIX_NAMES:
-            raise InvalidParameterError(
-                f"query_mix must be one of {MIX_NAMES}, got {self.query_mix!r}"
-            )
-        if self.num_queries < 1:
-            raise InvalidParameterError("num_queries must be positive")
 
     def build_profile(self, cluster: Optional[ClusterSpec] = None) -> RuntimeProfile:
-        """The :class:`~repro.service.profile.RuntimeProfile` this configuration selects.
+        """The :class:`~repro.service.profile.RuntimeProfile` a build runs with.
 
-        Bundles the configuration's seed, executor spec and data plane (plus
-        an optional per-call cluster) into the one value the profile-aware
-        entry points — ``HistogramAlgorithm.run``, ``run_algorithms``, the
-        service façade — consume.
+        The configuration's :attr:`profile` with an optional per-call cluster
+        and the configuration's :attr:`seed`, so one seed drives both the
+        dataset and the build.  This is the value the profile-aware entry
+        points — ``HistogramAlgorithm.run``, ``run_algorithms``, the service
+        façade — consume.
         """
-        return RuntimeProfile(
-            cluster=cluster,
-            seed=self.seed,
-            executor=self.executor,
-            workers=self.workers,
-            data_plane=self.data_plane,
-            concurrent_jobs=self.concurrent_jobs,
-            fault_rate=self.fault_rate,
-            fault_seed=self.fault_seed,
-            zero_copy=self.zero_copy,
-        )
-
-    # --------------------------------------------------------------- serving
-    def build_store(self) -> SynopsisStore:
-        """Open (creating if needed) the synopsis store at :attr:`store_path`."""
-        if self.store_path is None:
-            raise InvalidParameterError(
-                "store_path is not configured; pass store_path=... (or --store on the CLI)"
-            )
-        return SynopsisStore(self.store_path)
-
-    def build_workload(self, u: Optional[int] = None,
-                       count: Optional[int] = None,
-                       mix: Optional[str] = None) -> QueryWorkload:
-        """Generate the serving workload this configuration describes.
-
-        Args:
-            u: domain to query (defaults to the configuration's domain — pass
-                the synopsis' own domain when they differ).
-            count: number of queries (defaults to :attr:`num_queries`).
-            mix: workload mix (defaults to :attr:`query_mix`).
-        """
-        generator = WorkloadGenerator(u if u is not None else self.u, seed=self.seed)
-        return generator.generate(count if count is not None else self.num_queries,
-                                  mix if mix is not None else self.query_mix)
+        return self.profile.with_overrides(cluster=cluster, seed=self.seed)
 
     # ------------------------------------------------------------------ data
     def build_dataset(self, name: Optional[str] = None) -> Dataset:

@@ -16,6 +16,11 @@ from repro.experiments.runner import standard_algorithms
 from repro.serving.store import SynopsisStore
 
 
+def _report_rows(output):
+    """A compare report without its ``workload:`` header, which names the profile."""
+    return [line for line in output.splitlines() if not line.startswith("workload:")]
+
+
 class TestParser:
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):
@@ -26,16 +31,20 @@ class TestParser:
                                                "--epsilon", "0.05"])
         assert arguments.command == "compare"
         assert arguments.quick and arguments.k == 12 and arguments.epsilon == 0.05
-        assert arguments.data_plane == "batch"  # the columnar plane is the default
+        assert arguments.profile is None  # the default profile: serial, batch plane
 
-    def test_data_plane_option(self):
-        for command in (["compare", "--quick"],
-                        ["figure", "vary_k", "--quick"],
-                        ["build", "--store", "/tmp/s"]):
-            arguments = build_parser().parse_args(command + ["--data-plane", "records"])
-            assert arguments.data_plane == "records"
+    @pytest.mark.parametrize("command", [["compare", "--quick"],
+                                         ["figure", "vary_k", "--quick"],
+                                         ["build", "--store", "/tmp/s"]],
+                             ids=lambda command: command[0])
+    @pytest.mark.parametrize("flag", [["--executor", "serial"], ["--workers", "2"],
+                                      ["--data-plane", "records"],
+                                      ["--concurrent-jobs", "2"],
+                                      ["--fault-rate", "0.1"], ["--fault-seed", "1"]],
+                             ids=lambda flag: flag[0].lstrip("-"))
+    def test_runtime_settings_are_spelled_only_in_the_profile(self, command, flag):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["compare", "--data-plane", "rows"])
+            build_parser().parse_args(command + flag)
 
     def test_figure_requires_known_name(self):
         with pytest.raises(SystemExit):
@@ -81,25 +90,19 @@ class TestParser:
             ["compare", "--quick", "--profile", "executor=serial,data-plane=records"])
         assert arguments.profile == "executor=serial,data-plane=records"
 
-    def test_concurrent_jobs_option(self):
-        for command in (["compare", "--quick"],
-                        ["figure", "vary_k", "--quick"],
-                        ["build", "--store", "/tmp/s"]):
-            arguments = build_parser().parse_args(command + ["--concurrent-jobs", "4"])
-            assert arguments.concurrent_jobs == 4
-        default = build_parser().parse_args(["compare", "--quick"])
-        assert default.concurrent_jobs is None
-
     def test_serve_verbs_parse(self):
         catalog = build_parser().parse_args(["serve", "catalog", "--store", "/tmp/s"])
         assert catalog.command == "serve" and catalog.serve_command == "catalog"
         query = build_parser().parse_args(
             ["serve", "query", "--store", "/tmp/s", "--name", "a", "--name", "b",
-             "--count", "64", "--profile", "parallel:2"])
+             "--count", "64"])
         assert query.serve_command == "query"
-        assert query.names == ["a", "b"] and query.profile == "parallel:2"
+        assert query.names == ["a", "b"] and query.count == 64
         with pytest.raises(SystemExit):  # --name is required
             build_parser().parse_args(["serve", "query", "--store", "/tmp/s"])
+        with pytest.raises(SystemExit):  # queries answer in-process: no profile
+            build_parser().parse_args(["serve", "query", "--store", "/tmp/s",
+                                       "--name", "a", "--profile", "parallel:2"])
 
 
 class TestCommands:
@@ -131,21 +134,20 @@ class TestCommands:
         assert main(["compare", "--quick", "--k", "10", "--epsilon", "0.05"]) == 0
         sequential_output = capsys.readouterr().out
         assert main(["compare", "--quick", "--k", "10", "--epsilon", "0.05",
-                     "--concurrent-jobs", "5"]) == 0
+                     "--profile", "concurrent-jobs=5"]) == 0
         concurrent_output = capsys.readouterr().out
-        assert sequential_output == concurrent_output
+        assert _report_rows(sequential_output) == _report_rows(concurrent_output)
+        assert "concurrent-jobs=5" in concurrent_output
 
     def test_compare_is_identical_across_data_planes(self, capsys):
         """The report (communication, time, SSE) must not depend on the plane."""
         assert main(["compare", "--quick", "--k", "10", "--epsilon", "0.05",
-                     "--data-plane", "batch"]) == 0
+                     "--profile", "data-plane=batch"]) == 0
         batch_output = capsys.readouterr().out
         assert main(["compare", "--quick", "--k", "10", "--epsilon", "0.05",
-                     "--data-plane", "records"]) == 0
+                     "--profile", "data-plane=records"]) == 0
         records_output = capsys.readouterr().out
-        strip = lambda text: [line for line in text.splitlines()
-                              if not line.startswith("workload:")]
-        assert strip(batch_output) == strip(records_output)
+        assert _report_rows(batch_output) == _report_rows(records_output)
         assert "data-plane=batch" in batch_output
         assert "data-plane=records" in records_output
 

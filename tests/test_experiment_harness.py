@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cli import _configuration
 from repro.errors import InvalidParameterError
 from repro.experiments.config import PAPER_REFERENCE_BYTES, ExperimentConfig
 from repro.experiments.reporting import FigureTable, format_value
 from repro.experiments.runner import ExperimentMeasurement, run_algorithms, standard_algorithms
+from repro.service import RuntimeProfile
 
 
 class TestExperimentConfig:
@@ -68,6 +70,28 @@ class TestExperimentConfig:
             ExperimentConfig(n=0)
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(epsilon=0)
+
+    @pytest.mark.parametrize("name", [
+        "executor", "workers", "data_plane", "concurrent_jobs", "fault_rate",
+        "fault_seed", "zero_copy", "store_path", "query_mix", "num_queries",
+    ])
+    def test_runtime_and_serving_fields_are_gone(self, name):
+        with pytest.raises(TypeError, match=name):
+            ExperimentConfig(**{name: None})
+
+    def test_build_profile_is_the_profile_with_cluster_and_seed(self, quick_config):
+        cluster = quick_config.build_cluster(quick_config.build_dataset())
+        config = ExperimentConfig(
+            profile=RuntimeProfile.parse("parallel:2,data-plane=records"))
+        assert config.build_profile(cluster) == RuntimeProfile(
+            cluster=cluster, seed=42, executor="parallel", workers=2,
+            data_plane="records")
+
+    def test_cli_profile_seed_is_the_configuration_seed(self, quick_config):
+        cluster = quick_config.build_cluster(quick_config.build_dataset())
+        config = _configuration(quick=True, profile="seed=3")
+        assert config.seed == 3
+        assert config.build_profile(cluster).seed == 3
 
 
 class TestRunner:

@@ -580,14 +580,13 @@ class TestZeroCopyFlagPlumbing:
         assert "zero-copy" not in RuntimeProfile(zero_copy=True).describe()
 
     def test_experiment_config_carries_the_flag_into_the_profile(self):
-        # Regression: the CLI folds --profile keys into ExperimentConfig
-        # fields, so the config must accept zero_copy and forward it — a
-        # `--profile zero-copy=off` build used to raise TypeError here.
+        # Regression: a `--profile zero-copy=off` build used to raise
+        # TypeError here; the config's profile must forward the flag.
         from repro.experiments.config import ExperimentConfig
 
         config = ExperimentConfig.quick().with_overrides(
-            **RuntimeProfile.parse_overrides("zero-copy=off"))
-        assert config.zero_copy is False
+            profile=RuntimeProfile.parse("zero-copy=off"))
+        assert config.profile.zero_copy is False
         assert config.build_profile().zero_copy_enabled is False
         assert ExperimentConfig.quick().build_profile().zero_copy is None
 

@@ -3,7 +3,7 @@
 The parallel executor ships task specs to worker processes with pickle, and
 pickle serialises functions *by reference* — a lambda or a function defined
 inside another function has no importable name, so the submit fails (or
-worse, fails only when someone first runs ``--executor parallel``).  The
+worse, fails only when someone first runs ``--profile parallel``).  The
 serial executor happily runs the same spec, which is exactly how this class
 of bug escapes review.
 
