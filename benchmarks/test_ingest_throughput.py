@@ -29,7 +29,9 @@ import time
 
 import numpy as np
 
-from repro.core import WaveletHistogram, sparse_haar_transform, top_k_coefficients
+from repro.core import WaveletHistogram
+from repro.core.haar import exact_haar_arrays
+from repro.core.topk_coefficients import top_k_from_arrays
 from repro.serving.store import SynopsisStore
 from repro.serving.workload import UpdateStreamGenerator
 from repro.streaming import StreamIngestor, SynopsisMaintainer
@@ -70,9 +72,9 @@ def test_ingest_throughput():
     # to a from-scratch batch build of the surviving multiset.
     keys = generator.net_keys(batches)
     counts = np.bincount(keys, minlength=U + 1)
-    sparse = {int(key): float(c)
-              for key, c in enumerate(counts) if key >= 1 and c}
-    coefficients = top_k_coefficients(sparse_haar_transform(sparse, U), K)
+    present = np.flatnonzero(counts)
+    coefficients = top_k_from_arrays(
+        *exact_haar_arrays(present, counts[present], U), K)
     reference = SynopsisStore.in_memory().save(
         "reference", WaveletHistogram.from_coefficients(coefficients, U, k=K),
         algorithm="batch")

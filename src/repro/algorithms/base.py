@@ -5,12 +5,15 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.histogram import WaveletHistogram
 from repro.cost.model import CostModel
 from repro.errors import InvalidParameterError
-from repro.mapreduce.counters import Counters
+from repro.mapreduce.api import BatchMapper, MapperContext
+from repro.mapreduce.counters import CounterNames, Counters
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.plan import JobPlan, execute_plan
 from repro.mapreduce.runtime import JobResult, JobRunner
@@ -19,7 +22,7 @@ from repro.service.profile import RuntimeProfile
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.store import SynopsisStore
 
-__all__ = ["AlgorithmResult", "HistogramAlgorithm"]
+__all__ = ["AlgorithmResult", "HistogramAlgorithm", "SplitCountMapper"]
 
 # Job Configuration keys shared by all algorithms.
 CONF_DOMAIN = "wavelet.domain.u"
@@ -31,6 +34,44 @@ CONF_SKETCH_SEED = "wavelet.sketch.seed"
 CONF_SKETCH_BYTES_PER_LEVEL = "wavelet.sketch.bytes.per.level"
 CONF_T1_OVER_M = "wavelet.hwtopk.t1.over.m"
 CACHE_CANDIDATES = "wavelet.hwtopk.candidates"
+
+
+class SplitCountMapper(BatchMapper):
+    """A mapper that counts its split's keys, then transforms them in Close.
+
+    Send-Coef, H-WTopk's round 1 and Send-Sketch all start from the split's
+    local frequency vector.  :meth:`map` and :meth:`map_batch` only collect
+    the keys, charging the paper's one hash-map update per record;
+    :meth:`split_counts` counts them with one sorted ``np.unique``, which
+    gives the sorted distinct keys and int64 counts that
+    :func:`~repro.core.haar.exact_haar_numerators` takes.  Both data planes
+    collect the same keys, so they count the same vector.
+    """
+
+    def setup(self, context: MapperContext) -> None:
+        self._u = int(context.configuration.require(CONF_DOMAIN))
+        self._records: List[int] = []
+        self._batches: List[np.ndarray] = []
+
+    def map(self, record: int, context: MapperContext) -> None:
+        self._records.append(record)
+        context.counters.increment(CounterNames.HASHMAP_UPDATES)
+
+    def map_batch(self, keys: np.ndarray, context: MapperContext) -> None:
+        self._batches.append(keys)
+        context.counters.increment_by(CounterNames.HASHMAP_UPDATES, 1.0,
+                                      int(keys.size))
+
+    @property
+    def batched(self) -> bool:
+        """Whether this task ran on the batch plane."""
+        return bool(self._batches)
+
+    def split_counts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The split's distinct keys, ascending, and their int64 counts."""
+        keys = np.concatenate(
+            self._batches + [np.asarray(self._records, dtype=np.int64)])
+        return np.unique(keys, return_counts=True)
 
 
 @dataclass

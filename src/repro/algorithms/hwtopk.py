@@ -48,16 +48,16 @@ from repro.algorithms.base import (
     CACHE_CANDIDATES,
     ExecutionOutcome,
     HistogramAlgorithm,
+    SplitCountMapper,
 )
-from repro.core.frequency import merge_key_counts
-from repro.core.haar import sparse_haar_arrays
+from repro.core.haar import exact_haar_arrays
 from repro.core.topk_coefficients import (
     bottom_k_positions,
     top_k_coefficients,
     top_k_positions,
 )
 from repro.errors import TopKError
-from repro.mapreduce.api import BatchMapper, Mapper, MapperContext, Reducer, ReducerContext
+from repro.mapreduce.api import Mapper, MapperContext, Reducer, ReducerContext
 from repro.mapreduce.counters import CounterNames
 from repro.mapreduce.job import DistributedCache, JobConfiguration, MapReduceJob
 from repro.mapreduce.plan import JobPlan, PlanContext, PlanStage
@@ -129,33 +129,24 @@ def _coordinator_dicts(state: Dict[str, Any]) -> Tuple[Dict[int, float],
 
 
 # --------------------------------------------------------------------- Round 1
-class Round1Mapper(BatchMapper):
+class Round1Mapper(SplitCountMapper):
     """Scans the split, emits local top-k/bottom-k coefficients, persists the rest.
 
     Round 1 is the only round that reads input, so it is the only round with a
-    batch-plane fast path (one vectorised counting pass per split); rounds 2
-    and 3 read only their persisted state.
+    batch-plane fast path (the split arrives as one key array); rounds 2 and 3
+    read only their persisted state.
     """
 
     def setup(self, context: MapperContext) -> None:
-        self._u = int(context.configuration.require(CONF_DOMAIN))
+        super().setup(context)
         self._k = int(context.configuration.require(CONF_K))
-        self._counts: Dict[int, int] = {}
-
-    def map(self, record: int, context: MapperContext) -> None:
-        self._counts[record] = self._counts.get(record, 0) + 1
-        context.counters.increment(CounterNames.HASHMAP_UPDATES)
-
-    def map_batch(self, keys: np.ndarray, context: MapperContext) -> None:
-        merge_key_counts(self._counts, keys)
-        context.counters.increment_by(CounterNames.HASHMAP_UPDATES, 1.0,
-                                      int(keys.size))
 
     def close(self, context: MapperContext) -> None:
+        keys, counts = self.split_counts()
         log_u = max(1, self._u.bit_length() - 1)
-        indices, values = sparse_haar_arrays(self._counts, self._u)
+        indices, values = exact_haar_arrays(keys, counts, self._u)
         context.counters.increment(
-            CounterNames.WAVELET_TRANSFORM_OPS, len(self._counts) * (log_u + 1)
+            CounterNames.WAVELET_TRANSFORM_OPS, int(keys.size) * (log_u + 1)
         )
         top = top_k_positions(indices, values, self._k)
         bottom = bottom_k_positions(indices, values, self._k)

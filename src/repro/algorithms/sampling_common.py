@@ -28,7 +28,13 @@ from repro.algorithms.base import (
 from repro.core.frequency import merge_key_counts
 from repro.core.haar import sparse_haar_transform
 from repro.core.topk_coefficients import top_k_coefficients
-from repro.mapreduce.api import BatchMapper, MapperContext, Reducer, ReducerContext
+from repro.mapreduce.api import (
+    BatchMapper,
+    BatchReducer,
+    MapperContext,
+    Reducer,
+    ReducerContext,
+)
 from repro.mapreduce.counters import CounterNames
 from repro.sampling.two_level import TwoLevelEstimator
 
@@ -103,7 +109,7 @@ def _emit_histogram_from_estimates(
         context.emit(index, value)
 
 
-class ScaledCountReducer(Reducer):
+class ScaledCountReducer(BatchReducer):
     """Reducer for Basic-S and Improved-S: ``v_hat(x) = (sum of received counts) / p``."""
 
     def setup(self, context: ReducerContext) -> None:
@@ -114,6 +120,18 @@ class ScaledCountReducer(Reducer):
 
     def reduce(self, key: int, values: Iterable[int], context: ReducerContext) -> None:
         self._sample_sums[int(key)] = self._sample_sums.get(int(key), 0.0) + float(sum(values))
+
+    def reduce_batch(self, keys: np.ndarray, starts: np.ndarray,
+                     values: np.ndarray, context: ReducerContext) -> None:
+        """Every key's sample count in one integer ``np.add.reduceat``.
+
+        The counts are integers summing far below ``2**53``, so each int64
+        group sum cast to float is bit-identical to :meth:`reduce`'s
+        ``float(sum(values))``; the keys arrive ascending and distinct, the
+        order :meth:`reduce` would have inserted them in.
+        """
+        sums = np.add.reduceat(values, starts).astype(np.float64)
+        self._sample_sums.update(zip(keys.tolist(), sums.tolist()))
 
     def close(self, context: ReducerContext) -> None:
         estimates = {

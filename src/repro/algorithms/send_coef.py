@@ -6,6 +6,12 @@ of the corresponding local coefficients of the ``m`` splits
 coefficients in the mapper's Close method and emits every non-zero one; the
 reducer sums them per index and keeps the top-``k``.
 
+A local coefficient travels as its exact integer numerator (the split's
+``R - L`` count difference, see :func:`~repro.core.haar.exact_haar_numerators`),
+so the reducer's sums are exact and it divides each by ``sqrt(W)`` once:
+the coefficients are bit-identical to Send-V's, which transforms the summed
+counts with the same kernel.
+
 The paper shows this is *worse* than Send-V for large domains (Figure 12):
 the number of non-zero local coefficients grows with the domain size (a split
 with ``d`` distinct keys can have up to ``d * log2(u)`` non-zero coefficients)
@@ -15,7 +21,7 @@ transform.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Iterable, List
 
 import numpy as np
 
@@ -24,95 +30,78 @@ from repro.algorithms.base import (
     CONF_K,
     ExecutionOutcome,
     HistogramAlgorithm,
+    SplitCountMapper,
 )
-from repro.core.frequency import merge_key_counts
-from repro.core.haar import sparse_haar_arrays
-from repro.core.topk_coefficients import top_k_coefficients
-from repro.mapreduce.api import BatchMapper, BatchReducer, MapperContext, ReducerContext
+from repro.core.haar import coefficient_scales, exact_haar_numerators
+from repro.core.topk_coefficients import top_k_from_arrays
+from repro.mapreduce.api import BatchReducer, MapperContext, ReducerContext
 from repro.mapreduce.counters import CounterNames
 from repro.mapreduce.job import JobConfiguration, MapReduceJob
 from repro.mapreduce.plan import JobPlan, PlanContext, PlanStage
 
 __all__ = ["SendCoef", "SendCoefMapper", "SendCoefReducer"]
 
-# 4-byte coefficient index plus 8-byte double coefficient value.
+# The paper's pair: a 4-byte coefficient index plus an 8-byte coefficient.
+# The value ships as its int64 numerator, which is also 8 bytes, so the
+# charge is the paper's whatever the value's dtype.
 COEFFICIENT_PAIR_BYTES = 12
 
+_FIRST_GROUP = np.zeros(1, dtype=np.int64)
 
-class SendCoefMapper(BatchMapper):
+
+class SendCoefMapper(SplitCountMapper):
     """Computes the split's local wavelet coefficients and emits every non-zero one."""
 
-    def setup(self, context: MapperContext) -> None:
-        self._u = int(context.configuration.require(CONF_DOMAIN))
-        self._counts: Dict[int, int] = {}
-        self._batched = False
-
-    def map(self, record: int, context: MapperContext) -> None:
-        self._counts[record] = self._counts.get(record, 0) + 1
-        context.counters.increment(CounterNames.HASHMAP_UPDATES)
-
-    def map_batch(self, keys: np.ndarray, context: MapperContext) -> None:
-        self._batched = True
-        merge_key_counts(self._counts, keys)
-        context.counters.increment_by(CounterNames.HASHMAP_UPDATES, 1.0,
-                                      int(keys.size))
-
     def close(self, context: MapperContext) -> None:
+        keys, counts = self.split_counts()
         log_u = max(1, self._u.bit_length() - 1)
-        indices, values = sparse_haar_arrays(self._counts, self._u)
+        indices, numerators = exact_haar_numerators(keys, counts, self._u)
         context.counters.increment(
-            CounterNames.WAVELET_TRANSFORM_OPS, len(self._counts) * (log_u + 1)
+            CounterNames.WAVELET_TRANSFORM_OPS, int(keys.size) * (log_u + 1)
         )
-        nonzero = values != 0.0
-        indices, values = indices[nonzero], values[nonzero]
-        if self._batched:
-            context.emit_block(indices, values, COEFFICIENT_PAIR_BYTES)
+        nonzero = numerators != 0
+        indices, numerators = indices[nonzero], numerators[nonzero]
+        if self.batched:
+            context.emit_block(indices, numerators, COEFFICIENT_PAIR_BYTES)
             return
-        for index, value in zip(indices.tolist(), values.tolist()):
-            context.emit(index, value, size_bytes=COEFFICIENT_PAIR_BYTES)
+        for index, numerator in zip(indices.tolist(), numerators.tolist()):
+            context.emit(index, numerator, size_bytes=COEFFICIENT_PAIR_BYTES)
 
 
 class SendCoefReducer(BatchReducer):
-    """Sums local coefficients per index and keeps the top-k by magnitude."""
+    """Sums local coefficient numerators per index and keeps the top-k by magnitude."""
 
     def setup(self, context: ReducerContext) -> None:
+        self._u = int(context.configuration.require(CONF_DOMAIN))
         self._k = int(context.configuration.require(CONF_K))
-        self._totals: Dict[int, float] = {}
+        self._indices: List[np.ndarray] = []
+        self._numerators: List[np.ndarray] = []
 
-    def reduce(self, key: int, values: Iterable[float], context: ReducerContext) -> None:
-        total = float(sum(values))
-        if total != 0.0:
-            self._totals[int(key)] = total
-        context.counters.increment(CounterNames.REDUCE_CPU_OPS)
+    def reduce(self, key: int, values: Iterable[int], context: ReducerContext) -> None:
+        self.reduce_batch(np.full(1, key, dtype=np.int64), _FIRST_GROUP,
+                          np.fromiter(values, dtype=np.int64), context)
 
     def reduce_batch(self, keys: np.ndarray, starts: np.ndarray,
                      values: np.ndarray, context: ReducerContext) -> None:
-        """All coefficient groups in one order-preserving segmented fold.
+        """All coefficient groups in one integer ``np.add.reduceat``.
 
-        Unlike Send-V's integer counts, these are *float* partial coefficients,
-        so ``np.add.reduceat`` would change the summation order (pairwise tree
-        reduction) and drift from the reference answer in the last bits.
-        Instead each sorted segment is folded with the same left-to-right
-        Python ``sum`` the per-group :meth:`reduce` uses — the stable sort
-        upstream preserved arrival order within a group, so every float lands
-        in the accumulator in the reference order and the totals (and the
-        top-k built from them) are bit-identical across planes.  Keys arrive
-        ascending and distinct, matching the reference insertion order.
+        The values are integer numerators, so the grouped sums are exact in
+        any order: both planes, and any split of the partition into calls,
+        give the same totals.
         """
         if keys.size == 0:
             return
-        boundaries = starts.tolist() + [int(values.size)]
-        values_list = values.tolist()
-        totals = self._totals
-        for position, key in enumerate(keys.tolist()):
-            total = float(sum(values_list[boundaries[position]:boundaries[position + 1]]))
-            if total != 0.0:
-                totals[int(key)] = total
+        self._indices.append(keys)
+        self._numerators.append(np.add.reduceat(values, starts))
         context.counters.increment_by(CounterNames.REDUCE_CPU_OPS, 1.0,
                                       int(keys.size))
 
     def close(self, context: ReducerContext) -> None:
-        for index, value in top_k_coefficients(self._totals, self._k).items():
+        if not self._indices:
+            return
+        indices = np.concatenate(self._indices)
+        values = np.concatenate(self._numerators) / coefficient_scales(indices, self._u)
+        for index, value in top_k_from_arrays(indices, values, self._k).items():
             context.emit(index, value)
 
 

@@ -18,9 +18,7 @@ method overall.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
-
-import numpy as np
+from typing import Iterable
 
 from repro.algorithms.base import (
     CONF_DOMAIN,
@@ -29,10 +27,10 @@ from repro.algorithms.base import (
     CONF_SKETCH_SEED,
     ExecutionOutcome,
     HistogramAlgorithm,
+    SplitCountMapper,
 )
-from repro.core.frequency import merge_key_counts
 from repro.errors import InvalidParameterError
-from repro.mapreduce.api import BatchMapper, MapperContext, Reducer, ReducerContext
+from repro.mapreduce.api import MapperContext, Reducer, ReducerContext
 from repro.mapreduce.counters import CounterNames
 from repro.mapreduce.job import JobConfiguration, MapReduceJob
 from repro.mapreduce.plan import JobPlan, PlanContext, PlanStage
@@ -41,43 +39,34 @@ from repro.sketches.wavelet import WaveletGcsSketch
 __all__ = ["SendSketch", "SendSketchMapper", "SendSketchReducer"]
 
 
-class SendSketchMapper(BatchMapper):
+class SendSketchMapper(SplitCountMapper):
     """Builds the split's local GCS wavelet sketch and ships its non-zero entries.
 
-    On the batch plane the split's local frequency vector is aggregated with
-    one vectorised counting pass; the sketch insertion itself was already
-    array-at-a-time (the GCS's precomputed hash tables turn a whole
-    coefficient batch into fancy indexing), so Close is unchanged.  Those
-    hash tables are built once per process and shared by every task's
-    sketch, so a task allocates, and ships to the reducer, only its counters.
+    Close counts the split's keys once (so every distinct key updates the
+    sketch once, with its aggregate count) and inserts the exact transform of
+    those counts; the GCS's precomputed hash tables turn the whole
+    coefficient batch into fancy indexing.  Those hash tables are built once
+    per process and shared by every task's sketch, so a task allocates, and
+    ships to the reducer, only its counters.
     """
 
     def setup(self, context: MapperContext) -> None:
-        self._u = int(context.configuration.require(CONF_DOMAIN))
+        super().setup(context)
         self._seed = int(context.configuration.require(CONF_SKETCH_SEED))
         self._bytes_per_level = int(context.configuration.require(CONF_SKETCH_BYTES_PER_LEVEL))
-        self._counts: Dict[int, int] = {}
-
-    def map(self, record: int, context: MapperContext) -> None:
-        self._counts[record] = self._counts.get(record, 0) + 1
-        context.counters.increment(CounterNames.HASHMAP_UPDATES)
-
-    def map_batch(self, keys: np.ndarray, context: MapperContext) -> None:
-        merge_key_counts(self._counts, keys)
-        context.counters.increment_by(CounterNames.HASHMAP_UPDATES, 1.0,
-                                      int(keys.size))
 
     def close(self, context: MapperContext) -> None:
+        keys, counts = self.split_counts()
         sketch = WaveletGcsSketch(
             u=self._u,
             bytes_per_level=self._bytes_per_level,
             seed=self._seed,
         )
-        sketch.update_frequency_vector(self._counts)
+        sketch.update_counts(keys, counts)
         log_u = max(1, self._u.bit_length() - 1)
         # Each distinct key update touches log2(u) + 1 wavelet coefficients.
         context.counters.increment(
-            CounterNames.SKETCH_UPDATE_OPS, len(self._counts) * (log_u + 1)
+            CounterNames.SKETCH_UPDATE_OPS, int(keys.size) * (log_u + 1)
         )
         context.emit(0, sketch, size_bytes=sketch.serialized_size_bytes())
 

@@ -21,6 +21,10 @@ assembles the disjoint partial vectors — integer counts, so the merge is
 exact — and runs the same transform + top-k the single reducer would have.
 The output is identical to the single-reducer run; only reduce-side
 parallelism changes.
+
+The transform is the exact integer kernel
+(:func:`~repro.core.haar.exact_haar_arrays`), so the coefficients do not
+depend on the order the counts were summed or assembled in.
 """
 
 from __future__ import annotations
@@ -36,8 +40,7 @@ from repro.algorithms.base import (
     HistogramAlgorithm,
 )
 from repro.core.frequency import FrequencyVector
-from repro.core.topk_coefficients import top_k_coefficients
-from repro.core.haar import sparse_haar_transform
+from repro.core.topk_coefficients import exact_top_k
 from repro.errors import InvalidParameterError, KeyOutOfDomainError
 from repro.mapreduce.api import BatchMapper, BatchReducer, MapperContext, ReducerContext
 from repro.mapreduce.counters import CounterNames
@@ -57,7 +60,6 @@ CONF_NUM_REDUCERS = "mapred.reduce.tasks.send.v"
 def sum_combiner(key: int, values: list) -> int:
     """Hadoop's classic summing combiner (module-level so it pickles to workers)."""
     return sum(values)
-
 
 class SendVMapper(BatchMapper):
     """Aggregates the split's local frequency vector and emits it entirely.
@@ -139,14 +141,12 @@ class SendVReducer(BatchReducer):
         )
         if self._num_reducers > 1:
             # The global vector is sharded across reducers; emit this
-            # partition's exact global counts in ascending key order (the
-            # order the single reducer would have folded them in).
+            # partition's exact global counts, in ascending key order.
             for key, count in sorted(self._vector.counts.items()):
                 context.emit(key, count)
             return
-        coefficients = sparse_haar_transform(self._vector.counts, self._u)
-        top = top_k_coefficients(coefficients, self._k)
-        for index, value in top.items():
+        for index, value in exact_top_k(self._vector.counts, self._u,
+                                        self._k).items():
             context.emit(index, value)
 
 
@@ -167,8 +167,8 @@ class SendV(HistogramAlgorithm):
             num_reducers: reduce tasks to shard the global aggregation over.
                 The top-k output is identical for every value (the partial
                 vectors are disjoint integer counts and the driver finishes
-                the transform in the single-reducer's fold order); values > 1
-                exercise reduce-side parallelism.
+                with the same exact transform); values > 1 exercise
+                reduce-side parallelism.
         """
         super().__init__(u, k)
         if num_reducers < 1:
@@ -200,15 +200,9 @@ class SendV(HistogramAlgorithm):
             result = context.result("aggregate")
             if self.num_reducers > 1:
                 # Reducers shipped disjoint partial vectors of exact global
-                # counts.  Rebuild the global vector in ascending key order —
-                # the same insertion order the single reducer's sorted fold
-                # produces — so the transform sums float contributions
-                # identically and the top-k is bit-for-bit the single-reducer
-                # output.
-                merged = {int(key): float(value) for key, value in sorted(result.output)}
-                coefficients = top_k_coefficients(
-                    sparse_haar_transform(merged, self.u), self.k
-                )
+                # counts; the exact transform of their union is bit-for-bit
+                # the single reducer's.
+                coefficients = exact_top_k(dict(result.output), self.u, self.k)
             else:
                 coefficients = {int(index): float(value) for index, value in result.output}
             return ExecutionOutcome(

@@ -16,6 +16,7 @@ substrate:
 
 from repro.core.frequency import FrequencyVector, frequency_vector_from_keys
 from repro.core.haar import (
+    exact_haar_arrays,
     haar_transform,
     inverse_haar_transform,
     sparse_haar_arrays,
@@ -26,6 +27,7 @@ from repro.core.haar import (
 )
 from repro.core.histogram import WaveletHistogram
 from repro.core.topk_coefficients import (
+    exact_top_k,
     merge_coefficients,
     top_k_coefficients,
     top_k_from_dense,
@@ -36,12 +38,14 @@ __all__ = [
     "frequency_vector_from_keys",
     "haar_transform",
     "inverse_haar_transform",
+    "exact_haar_arrays",
     "sparse_haar_transform",
     "sparse_haar_arrays",
     "wavelet_basis_vector",
     "coefficient_level",
     "coefficient_support",
     "WaveletHistogram",
+    "exact_top_k",
     "merge_coefficients",
     "top_k_coefficients",
     "top_k_from_dense",

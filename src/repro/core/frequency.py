@@ -32,10 +32,12 @@ def first_occurrence_counts(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     The vectorised equivalent of the mapper's per-record hash-map loop: the
     returned ``(unique_keys, counts)`` arrays list each distinct key exactly
     once, ordered by where the key *first* appears in ``keys`` — the same
-    insertion order a ``dict`` built record-at-a-time would have.  Matching
-    the dict order matters because mapper Close methods iterate their
-    aggregation (and, for the sampling algorithms, consume the task RNG per
-    entry), so any other order would break plane equivalence.
+    insertion order a ``dict`` built record-at-a-time would have.  Only the
+    sampling mappers need that order: their Close methods iterate the
+    aggregation, and TwoLevel-S draws its second-level RNG per entry, so any
+    other order would break plane equivalence.  Mappers that transform their
+    counts take sorted ``np.unique`` counts instead, since the exact
+    transform does not depend on any order.
     """
     keys = np.asarray(keys, dtype=np.int64)
     if keys.size == 0:
@@ -50,8 +52,9 @@ def merge_key_counts(counts: Dict[int, int], keys: np.ndarray) -> None:
     """Fold a batch of record keys into a mapper's count dict, in place.
 
     Exactly equivalent to ``for key in keys: counts[key] = counts.get(key, 0) + 1``
-    — including the dict's resulting insertion order — but one vectorised
-    counting pass plus one update per *distinct* key.
+    — including the dict's resulting insertion order, which the sampling
+    mappers' Close methods depend on (see :func:`first_occurrence_counts`) —
+    but one vectorised counting pass plus one update per *distinct* key.
     """
     unique, batch_counts = first_occurrence_counts(keys)
     if not counts:

@@ -14,18 +14,29 @@ code matches the paper's notation):
 With this normalisation the transform is orthonormal, i.e. it preserves the
 signal's energy (Parseval): ``sum(v[x]^2) == sum(w[i]^2)``.
 
-Three transform implementations are provided:
+Four transform implementations are provided:
 
 ``haar_transform``
     Dense ``O(u)`` bottom-up transform used by the centralized algorithm of
-    Matias et al. [26] — the one the paper's reducer runs on the aggregated
-    frequency vector.
+    Matias et al. [26].
+
+``exact_haar_numerators`` / ``exact_haar_arrays``
+    The sparse ``O(|v| log u)`` transform of Gilbert et al. [20] for
+    *integer* counts, given as sorted distinct keys and int64 counts.  Every
+    coefficient is one exact int64 numerator -- the total count for ``w_1``,
+    the right-half count minus the left-half count ``R - L`` for a detail --
+    divided once by ``sqrt(W)``, ``W`` its support width
+    (:func:`coefficient_scales`).  Since the keys are sorted, each node of a
+    level is one run of keys: one node-change mask and one ``np.add.reduceat``
+    compute every numerator, with nothing to sort.  Every integer-count path
+    runs on it -- the Send-V reducer, the Send-Coef, H-WTopk and Send-Sketch
+    mappers, the streaming partials and maintainers -- so they agree bit for
+    bit, and Send-Coef can ship the numerators and sum them exactly.
 
 ``sparse_haar_transform``
-    ``O(|v| log u)``-time, ``O(|v| log u)``-space transform that only touches
-    the coefficients reachable from non-zero entries — the algorithm of
-    Gilbert et al. [20] the paper uses inside each mapper, where the local
-    frequency vector is sparse compared to the domain
+    The same sparse transform over fractional counts (the samplers'
+    estimated frequency vectors): each key adds ``+-count / sqrt(W)`` to the
+    coefficients on its path, in float, grouped by one stable sort
     (``sparse_haar_arrays`` returns the same coefficients as arrays).
 
 ``inverse_haar_transform``
@@ -40,12 +51,16 @@ from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
-from repro.errors import InvalidDomainError, KeyOutOfDomainError
+from repro.errors import InvalidDomainError, InvalidParameterError, KeyOutOfDomainError
 
 __all__ = [
     "validate_domain",
     "haar_transform",
     "inverse_haar_transform",
+    "exact_haar_arrays",
+    "exact_haar_numerators",
+    "coefficient_scales",
+    "integer_count_arrays",
     "sparse_haar_transform",
     "sparse_haar_arrays",
     "sparse_inverse_contribution",
@@ -98,7 +113,8 @@ def haar_transform(v: np.ndarray | Iterable[float]) -> np.ndarray:
     log_u = validate_domain(u)
 
     w = np.zeros(v.shape, dtype=float)
-    averages = v.copy()
+    # The averages are overwritten level by level; the caller's signal is not.
+    averages = v.copy()  # reprolint: disable=hot-path-copy
     # Unnormalised tree coefficients: detail at level j has 2^j entries and is
     # stored at indices [2^j, 2^(j+1)) (0-based index i-1 for coefficient i).
     for level in range(log_u - 1, -1, -1):
@@ -230,7 +246,115 @@ def wavelet_basis_vector(index: int, u: int) -> np.ndarray:
     validate_domain(u)
     if index < 1 or index > u:
         raise KeyOutOfDomainError(f"coefficient index {index} outside [1, {u}]")
-    return np.array([_basis_value(index, key, u) for key in range(1, u + 1)], dtype=float)
+    return np.fromiter((_basis_value(index, key, u) for key in range(1, u + 1)),
+                       dtype=float, count=u)
+
+
+def exact_haar_numerators(keys: np.ndarray | Iterable[int],
+                          counts: np.ndarray | Iterable[int],
+                          u: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The sparse Haar transform of integer counts, as exact integer numerators.
+
+    Args:
+        keys: distinct 1-based keys in ascending order.
+        counts: their integer counts (negative for stream deltas); zero
+            counts are dropped.
+        u: domain size (power of two).
+
+    Returns:
+        ``(indices, numerators)``, both int64: the ascending indices of every
+        coefficient on some key's leaf-to-root path, and per index the total
+        count (``w_1``) or the right-half minus the left-half count ``R - L``
+        (a detail coefficient).  ``w_i = numerators / coefficient_scales(
+        indices, u)``, one division per coefficient; a numerator of 0 is an
+        exact zero.  Numerators are exact as long as the counts' absolute sum
+        stays below ``2**63``, and their quotients as long as it stays below
+        ``2**53``.
+
+    Runs in ``O(|keys| log u)`` with one node-change mask and one
+    ``np.add.reduceat`` over all levels; nothing is sorted.
+    """
+    log_u = validate_domain(u)
+    keys = np.asarray(keys, dtype=np.int64)
+    counts = np.asarray(counts)
+    if keys.ndim != 1 or keys.shape != counts.shape:
+        raise InvalidParameterError("keys and counts must be aligned 1-D arrays")
+    if counts.size and counts.dtype.kind not in "iu":
+        raise InvalidParameterError(
+            f"the exact transform takes integer counts, got {counts.dtype}")
+    counts = counts.astype(np.int64, copy=False)
+    nonzero = counts != 0
+    if not nonzero.all():
+        keys, counts = keys[nonzero], counts[nonzero]
+    if keys.size == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if keys[0] < 1 or keys[-1] > u:
+        bad = keys[(keys < 1) | (keys > u)][0]
+        raise KeyOutOfDomainError(f"key {bad} outside domain [1, {u}]")
+    if np.any(keys[1:] <= keys[:-1]):
+        raise InvalidParameterError("keys must be distinct and ascending")
+
+    d = keys.size
+    # Row j holds each key's node at level j + 1.  Its parent (child >> 1) is
+    # the level-j node whose coefficient the key feeds: on the right half of
+    # that node's support when the child is odd, on the left when even.
+    child = (keys - 1) >> np.arange(log_u - 1, -1, -1, dtype=np.int64)[:, np.newaxis]
+    nodes = child >> 1
+    # The keys ascend, so every node is one run of its level's row, and the
+    # runs of all levels start where the node id changes.
+    change = np.empty((log_u, d), dtype=bool)
+    change[:, 0] = True
+    np.not_equal(nodes[:, 1:], nodes[:, :-1], out=change[:, 1:])
+    starts = np.flatnonzero(change)
+    numerators = np.add.reduceat((counts * ((child & 1) * 2 - 1)).ravel(), starts)
+    indices = nodes.ravel()[starts] + (1 << (starts // d)) + 1
+    return (np.concatenate(([1], indices)),
+            np.concatenate(([counts.sum()], numerators)))
+
+
+def exact_haar_arrays(keys: np.ndarray | Iterable[int],
+                      counts: np.ndarray | Iterable[int],
+                      u: int) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`exact_haar_numerators` divided out: ``(indices, values)``.
+
+    Each value is its numerator divided once by ``sqrt(W)``, so integer
+    counts transform to the same bits on every path, whatever the split or
+    fold that produced them.
+    """
+    indices, numerators = exact_haar_numerators(keys, counts, u)
+    return indices, numerators / coefficient_scales(indices, u)
+
+
+def coefficient_scales(indices: np.ndarray | Iterable[int], u: int) -> np.ndarray:
+    """``sqrt(W)`` of each 1-based coefficient index, ``W`` its support width.
+
+    ``W = u`` for ``w_1`` and ``u / 2^j`` for a detail at level ``j``: the
+    divisor that turns an :func:`exact_haar_numerators` numerator into its
+    coefficient.
+    """
+    log_u = validate_domain(u)
+    indices = np.asarray(indices, dtype=np.int64)
+    # frexp's exponent of i - 1 >= 1 is its bit length, one more than the level.
+    levels = np.frexp(np.maximum(indices - 1, 1))[1] - 1
+    return np.sqrt(np.ldexp(1.0, log_u - levels))
+
+
+def integer_count_arrays(counts: Mapping[int, float]) -> Tuple[np.ndarray, np.ndarray]:
+    """A sparse count mapping as ascending int64 ``(keys, counts)`` arrays.
+
+    The input of :func:`exact_haar_numerators` for integer-valued counts
+    held in a dict, in any key order (float values such as ``3.0`` are
+    accepted).
+
+    Raises:
+        InvalidParameterError: if a count is not an integer.
+    """
+    keys = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
+    values = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    if not np.all(np.trunc(values) == values):
+        raise InvalidParameterError("the exact transform takes integer counts")
+    order = np.argsort(keys, kind="stable")
+    return keys[order], values[order].astype(np.int64)
 
 
 def sparse_haar_transform(counts: Mapping[int, float], u: int) -> Dict[int, float]:
@@ -250,7 +374,8 @@ def sparse_haar_transform(counts: Mapping[int, float], u: int) -> Dict[int, floa
     Runs in ``O(|counts| * log u)`` time using the per-key path decomposition:
     coefficient ``w_i = sum_x v(x) * psi_i(x)``, and a single key contributes
     to only ``log2(u) + 1`` coefficients.  See :func:`sparse_haar_arrays` for
-    the same coefficients as arrays.
+    the same coefficients as arrays; the samplers' fractional estimates are
+    its callers, and integer counts take :func:`exact_haar_arrays`.
     """
     indices, values = sparse_haar_arrays(counts, u)
     return dict(zip(indices.tolist(), values.tolist()))
@@ -261,9 +386,11 @@ def sparse_haar_arrays(counts: Mapping[int, float], u: int) -> Tuple[np.ndarray,
 
     Returns the 1-based coefficient indices (int64, ascending and distinct)
     and their values (float64), for callers that feed the coefficients to
-    numpy rather than look them up.  The implementation is batched numpy —
-    one vectorised pass per resolution level over all present keys — because
-    this is the hot path of every mapper task.
+    numpy rather than look them up.  The implementation is batched numpy:
+    one vectorised pass per resolution level over all present keys, then one
+    stable sort that groups the contributions by index, each group summed in
+    the mapping's key order.  Integer counts take
+    :func:`exact_haar_arrays` instead, which is exact and sorts nothing.
     """
     log_u = validate_domain(u)
     empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))

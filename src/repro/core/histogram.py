@@ -30,7 +30,11 @@ from repro.core.haar import (
     sparse_inverse_contribution,
     validate_domain,
 )
-from repro.core.topk_coefficients import top_k_coefficients, top_k_from_dense
+from repro.core.topk_coefficients import (
+    exact_top_k,
+    top_k_coefficients,
+    top_k_from_dense,
+)
 from repro.errors import InvalidParameterError, KeyOutOfDomainError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -71,8 +75,12 @@ class WaveletHistogram:
         """Build the best k-term histogram of a sparse frequency vector.
 
         Uses the sparse ``O(|v| log u)`` transform, so it is efficient even for
-        very large domains as long as the vector is sparse.
+        very large domains as long as the vector is sparse.  Integer counts
+        take the exact transform, giving the same bits as every MapReduce
+        build of the same counts; fractional ones take the float fold.
         """
+        if all(float(count).is_integer() for count in vector.counts.values()):
+            return cls(vector.u, exact_top_k(vector.counts, vector.u, k), k=k)
         coefficients = sparse_haar_transform(vector.counts, vector.u)
         return cls(vector.u, top_k_coefficients(coefficients, k), k=k)
 

@@ -6,14 +6,18 @@ orthonormal transform preserves energy, dropping the smallest-magnitude
 coefficients minimises the energy loss among all k-term representations.
 
 The centralized algorithm streams over all coefficients; these helpers
-implement the selection as one batched numpy ``lexsort`` (sort by score with a
-deterministic index tie-break, take the ``k`` head entries).  The tie-break
-rules match the earlier heap-based implementation exactly — magnitude ties go
-to the smaller coefficient index — so for a given coefficient mapping the
-selection is fully deterministic and identical across executors.  (The
-*values* feeding the selection may differ from earlier releases at the ULP
-level, because the vectorised transforms sum float contributions in a
-different order.)
+select in numpy instead: ``np.partition`` finds the ``k``-th score, and one
+``lexsort`` (score, then index) orders only the entries that reach it.  That
+picks exactly the head of the full lexsort, so the tie-break rules match the
+earlier heap-based implementation -- score ties go to the smaller
+coefficient index -- and for a given coefficient mapping the selection is
+fully deterministic and identical across executors.  Integer counts
+transform exactly, one integer numerator divided once per coefficient
+(:func:`exact_top_k`, :mod:`repro.core.haar`), so Send-V, Send-Coef and the
+streaming maintainers select from the same bits for the same counts.
+H-WTopk's coordinator still adds per-split float coefficients, and the
+samplers' fractional estimates take a float fold; the last bits of those
+values depend on the order their terms are added in.
 """
 
 from __future__ import annotations
@@ -22,11 +26,14 @@ from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
+from repro.core.haar import exact_haar_arrays, integer_count_arrays
 from repro.errors import InvalidParameterError
 
 __all__ = [
+    "exact_top_k",
     "merge_coefficients",
     "top_k_coefficients",
+    "top_k_from_arrays",
     "top_k_from_dense",
     "bottom_k_items",
     "bottom_k_positions",
@@ -46,6 +53,48 @@ def _items_as_arrays(items: Mapping[int, float]) -> Tuple[np.ndarray, np.ndarray
     return indices, values
 
 
+def _head_positions(indices: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` largest scores, descending; ties to the smaller index.
+
+    Exactly ``np.lexsort((indices, -scores))[:k]``, but the lexsort runs only
+    over the entries that reach the ``k``-th largest score, which
+    ``np.partition`` finds in linear time.  Those are the fewer-than-``k``
+    larger entries plus every tie at the ``k``-th score, so the head of their
+    order is the head of the full order.
+    """
+    if scores.size > k:
+        kth = np.partition(scores, scores.size - k)[scores.size - k]
+        candidates = np.flatnonzero(scores >= kth)
+        order = np.lexsort((indices[candidates], -scores[candidates]))[:k]
+        return candidates[order]
+    return np.lexsort((indices, -scores))
+
+
+def top_k_from_arrays(indices: np.ndarray, values: np.ndarray, k: int) -> Dict[int, float]:
+    """:func:`top_k_coefficients` of aligned ``(indices, values)`` arrays.
+
+    ``indices`` must be distinct; zero values are never selected.
+    """
+    _validate_k(k)
+    indices = np.asarray(indices, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    order = _head_positions(indices, np.abs(values), k)
+    return {
+        int(indices[i]): float(values[i]) for i in order if values[i] != 0.0
+    }
+
+
+def exact_top_k(counts: Mapping[int, float], u: int, k: int) -> Dict[int, float]:
+    """The top-``k`` coefficients of a sparse vector of integer counts.
+
+    The counts are transformed by the exact integer kernel
+    (:func:`~repro.core.haar.exact_haar_arrays`), so every path that selects
+    from the same counts -- a batch build, a streaming publish -- selects the
+    same bits.
+    """
+    return top_k_from_arrays(*exact_haar_arrays(*integer_count_arrays(counts), u), k)
+
+
 def top_k_coefficients(coefficients: Mapping[int, float], k: int) -> Dict[int, float]:
     """Return the ``k`` coefficients of largest magnitude from a sparse mapping.
 
@@ -62,15 +111,7 @@ def top_k_coefficients(coefficients: Mapping[int, float], k: int) -> Dict[int, f
         descending magnitude order.
     """
     _validate_k(k)
-    if not coefficients:
-        return {}
-    indices, values = _items_as_arrays(coefficients)
-    # lexsort sorts by the last key first: descending magnitude, then
-    # ascending index among magnitude ties.
-    order = np.lexsort((indices, -np.abs(values)))[:k]
-    return {
-        int(indices[i]): float(values[i]) for i in order if values[i] != 0.0
-    }
+    return top_k_from_arrays(*_items_as_arrays(coefficients), k)
 
 
 def merge_coefficients(*maps: Mapping[int, float]) -> Dict[int, float]:
@@ -102,7 +143,7 @@ def top_k_from_dense(w: np.ndarray | Iterable[float], k: int) -> Dict[int, float
     _validate_k(k)
     arr = np.asarray(w, dtype=float)
     nonzero = np.flatnonzero(arr)
-    order = np.lexsort((nonzero, -np.abs(arr[nonzero])))[:k]
+    order = _head_positions(nonzero, np.abs(arr[nonzero]), k)
     return {int(nonzero[i]) + 1: float(arr[nonzero[i]]) for i in order}
 
 
@@ -113,7 +154,7 @@ def top_k_positions(indices: np.ndarray, values: np.ndarray, k: int) -> np.ndarr
     their scores; score ties go to the smaller index.
     """
     _validate_k(k)
-    return np.lexsort((indices, -values))[:k]
+    return _head_positions(indices, values, k)
 
 
 def bottom_k_positions(indices: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
@@ -122,7 +163,7 @@ def bottom_k_positions(indices: np.ndarray, values: np.ndarray, k: int) -> np.nd
     Score ties go to the smaller index.
     """
     _validate_k(k)
-    return np.lexsort((indices, values))[:k]
+    return _head_positions(indices, -values, k)
 
 
 def top_k_items(scores: Mapping[int, float], k: int) -> Tuple[Tuple[int, float], ...]:

@@ -55,7 +55,7 @@ class Dataset:
 
     def frequency_vector(self) -> FrequencyVector:
         """The exact global frequency vector ``v`` of the dataset."""
-        return frequency_vector_from_keys((int(k) for k in self.keys), self.u)
+        return frequency_vector_from_keys(self.keys, self.u)
 
     def to_hdfs(self, hdfs: HDFS, path: Optional[str] = None) -> HdfsFile:
         """Load the dataset into the simulated HDFS and return the created file."""

@@ -20,7 +20,8 @@ import numpy as np
 from repro.core.haar import (
     basis_value,
     coefficients_for_key,
-    sparse_haar_arrays,
+    exact_haar_arrays,
+    integer_count_arrays,
     validate_domain,
 )
 from repro.core.topk_coefficients import top_k_coefficients
@@ -83,17 +84,21 @@ class WaveletGcsSketch:
         self.key_updates += 1
 
     def update_frequency_vector(self, counts: Mapping[int, float]) -> None:
-        """Add a whole (sparse) local frequency vector to the sketch.
+        """Add a whole (sparse) local frequency vector of integer counts.
 
         This is the paper's Send-Sketch mapper optimisation: build the local
         frequency vector first, then insert each *distinct* key once with its
-        aggregate count.
+        aggregate count.  See :meth:`update_counts`.
         """
-        indices, values = sparse_haar_arrays(counts, self.u)
+        self.update_counts(*integer_count_arrays(counts))
+
+    def update_counts(self, keys: np.ndarray, counts: np.ndarray) -> None:
+        """Add the exact transform of sorted distinct keys' integer counts."""
+        indices, values = exact_haar_arrays(keys, counts, self.u)
         if indices.size == 0:
             return
         self._gcs.update_batch(indices - 1, values)
-        self.key_updates += len(counts)
+        self.key_updates += len(keys)
 
     # --------------------------------------------------------------- queries
     def estimate_coefficient(self, index: int) -> float:

@@ -12,8 +12,9 @@ update counts) in the store metadata — never a rescan of base data.
 a companion catalog entry ``<name>.state`` — the WHSYN payload format is just
 sorted ``(index, value)`` pairs, so the same serialisation, checksumming and
 atomic-publish machinery carries count vectors in the key basis unchanged.
-Publishing transforms the state over ascending keys (exactly the fold order
-of the batch reducers) and re-selects the top-``k``.  By Haar linearity this
+Publishing transforms the state with the exact integer transform the batch
+builds use and re-selects the top-``k``
+(:func:`~repro.core.topk_coefficients.exact_top_k`).  By Haar linearity this
 equals "the coefficients of ``v`` plus the coefficient delta of the updates,
 re-thresholded" (:func:`~repro.core.topk_coefficients.merge_coefficients`
 composed with :func:`~repro.core.topk_coefficients.top_k_coefficients`) — but
@@ -48,9 +49,9 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, Optional
 
-from repro.core.haar import sparse_haar_transform, validate_domain
+from repro.core.haar import validate_domain
 from repro.core.histogram import WaveletHistogram
-from repro.core.topk_coefficients import top_k_coefficients
+from repro.core.topk_coefficients import exact_top_k
 from repro.errors import InvalidParameterError, StreamingError, TaskTransientError
 from repro.mapreduce.faults import RetryPolicy
 from repro.serving.store import SynopsisMetadata, SynopsisStore
@@ -353,9 +354,7 @@ class SynopsisMaintainer:
         telemetry = get_telemetry()
         started = time.perf_counter()
         parent = self.store.latest_version(self.name, default=0) or None
-        coefficients = top_k_coefficients(
-            sparse_haar_transform(self._sorted_counts(), self.u), self.k
-        )
+        coefficients = exact_top_k(self._counts, self.u, self.k)
         histogram = WaveletHistogram.from_coefficients(coefficients, self.u, k=self.k)
         with telemetry.tracer.span("maintain.publish", kind="streaming",
                                    stream=self.name, applied=self._applied,
@@ -545,16 +544,11 @@ class SlidingWindowMaintainer:
             else:
                 counts[key] = total
 
-    def _sorted_counts(self) -> Dict[int, float]:
-        return {key: self._counts[key] for key in sorted(self._counts)}
-
     def _publish_serving(self) -> SynopsisMetadata:
         telemetry = get_telemetry()
         started = time.perf_counter()
         parent = self.store.latest_version(self.name, default=0) or None
-        coefficients = top_k_coefficients(
-            sparse_haar_transform(self._sorted_counts(), self.u), self.k
-        )
+        coefficients = exact_top_k(self._counts, self.u, self.k)
         histogram = WaveletHistogram.from_coefficients(coefficients, self.u, k=self.k)
         build: Dict[str, Any] = {
             "window": self.window,

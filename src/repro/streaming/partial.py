@@ -14,10 +14,10 @@ truncated coefficient set:
   transform — the maintainer can re-select the top-``k`` for every published
   version instead of compounding truncation error;
 * the coefficient-space view (:meth:`coefficients`) is computed through the
-  same :func:`~repro.core.haar.sparse_haar_transform` the batch reducers use,
-  over keys in ascending order — the batch fold order — which is what makes a
-  streamed publish *byte-identical* (checksum and all) to a batch build of
-  the same logical multiset.
+  same exact integer transform (:func:`~repro.core.haar.exact_haar_arrays`)
+  the batch builds use, which is what makes a streamed publish
+  *byte-identical* (checksum and all) to a batch build of the same logical
+  multiset.
 
 Counting a batch goes through the columnar plane: one ``np.bincount`` pass
 per update array, exactly like the Send-V batch mapper's whole-split
@@ -31,7 +31,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.core.haar import sparse_haar_transform, validate_domain
+from repro.core.haar import exact_haar_arrays, integer_count_arrays, validate_domain
 from repro.errors import InvalidParameterError, KeyOutOfDomainError
 
 __all__ = ["PartialSynopsis"]
@@ -169,18 +169,15 @@ class PartialSynopsis:
         )
 
     # ------------------------------------------------------------------- views
-    def sorted_counts(self) -> Dict[int, float]:
-        """The count delta keyed in ascending order — the batch fold order."""
-        return {key: self.counts[key] for key in sorted(self.counts)}
-
     def coefficients(self) -> Dict[int, float]:
         """The coefficient-space delta: sparse Haar transform of the counts.
 
-        Computed over ascending keys, matching how the batch reducers fold a
-        global frequency vector, so coefficient values are bit-identical to
-        a batch transform of the same counts.
+        Computed by the exact integer transform the batch builds use, so
+        coefficient values are bit-identical to a batch transform of the
+        same counts.
         """
-        return sparse_haar_transform(self.sorted_counts(), self.u)
+        indices, values = exact_haar_arrays(*integer_count_arrays(self.counts), self.u)
+        return dict(zip(indices.tolist(), values.tolist()))
 
     # -------------------------------------------------------------- properties
     @property

@@ -125,3 +125,18 @@ def test_non_batch_mapper_falls_back_to_records_path():
     assert results["batch"].output == results["records"].output
     assert (results["batch"].counters.as_dict()
             == results["records"].counters.as_dict())
+
+
+@settings(max_examples=5, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(keys=key_streams)
+def test_send_coef_equals_send_v_bit_for_bit(parallel_executor, keys):
+    """Send-Coef sums the splits' exact numerators, Send-V transforms the
+    summed counts: the same integers divided once, so the same bits."""
+    for data_plane in ("batch", "records"):
+        for executor in (SerialExecutor(), parallel_executor):
+            send_v = _run(ALGORITHM_FACTORIES["Send-V"], keys, executor, data_plane)
+            send_coef = _run(ALGORITHM_FACTORIES["Send-Coef"], keys, executor,
+                             data_plane)
+            assert (list(send_coef.histogram.coefficients.items())
+                    == list(send_v.histogram.coefficients.items()))

@@ -13,10 +13,14 @@ from repro.core import haar
 from repro.core.haar import (
     basis_value,
     coefficient_level,
+    coefficient_scales,
     coefficient_support,
     coefficients_for_key,
     energy,
+    exact_haar_arrays,
+    exact_haar_numerators,
     haar_transform,
+    integer_count_arrays,
     inverse_haar_transform,
     sparse_haar_arrays,
     sparse_haar_transform,
@@ -24,7 +28,7 @@ from repro.core.haar import (
     validate_domain,
     wavelet_basis_vector,
 )
-from repro.errors import InvalidDomainError, KeyOutOfDomainError
+from repro.errors import InvalidDomainError, InvalidParameterError, KeyOutOfDomainError
 
 
 # ------------------------------------------------------------------ validation
@@ -169,6 +173,89 @@ class TestSparseHaarTransform:
             assert sparse_inverse_contribution(coefficients, key, u) == pytest.approx(
                 reconstructed[key - 1], abs=1e-9
             )
+
+
+def _python_numerators(keys, counts, u):
+    """Each coefficient's numerator in Python integers, key by key.
+
+    ``w_1``'s numerator is the total count; a detail's is the count of its
+    support's right half minus that of its left half.
+    """
+    numerators = {}
+    for key, count in zip(keys, counts):
+        if count == 0:
+            continue
+        for index in coefficients_for_key(key, u):
+            lo, hi = coefficient_support(index, u)
+            sign = 1 if index == 1 or key > (lo + hi) // 2 else -1
+            numerators[index] = numerators.get(index, 0) + sign * count
+    return numerators
+
+
+class TestExactHaar:
+    """The integer kernel against Python-int arithmetic and the dense transform."""
+
+    @pytest.mark.parametrize("u", [1, 2, 4, 64, 2 ** 16, 2 ** 17])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_numerators_are_python_integer_arithmetic(self, u, seed):
+        rng = np.random.default_rng((u, seed))
+        size = int(rng.integers(1, min(u, 300) + 1))
+        keys = np.sort(rng.choice(u, size=size, replace=False) + 1)
+        # Negative counts are stream deltas; a few zeros are dropped.
+        counts = rng.integers(-1000, 1001, size=size)
+        indices, numerators = exact_haar_numerators(keys, counts, u)
+        expected = _python_numerators(keys.tolist(), counts.tolist(), u)
+        assert indices.tolist() == sorted(expected)
+        assert numerators.tolist() == [expected[index] for index in sorted(expected)]
+
+        _, values = exact_haar_arrays(keys, counts, u)
+        widths = [hi - lo + 1 for lo, hi in (coefficient_support(i, u)
+                                             for i in indices.tolist())]
+        assert values.tolist() == [numerator / math.sqrt(width) for numerator, width
+                                   in zip(numerators.tolist(), widths)]
+        assert coefficient_scales(indices, u).tolist() == [math.sqrt(w) for w in widths]
+
+        dense = np.zeros(u)
+        dense[keys - 1] = counts
+        full = np.zeros(u)
+        full[indices - 1] = values
+        np.testing.assert_allclose(full, haar_transform(dense), rtol=0, atol=1e-9)
+
+    def test_one_key_touches_its_path(self):
+        # Key 17 is offset 0b010000: right half only at level 1.
+        indices, numerators = exact_haar_numerators([17], [3], 64)
+        assert indices.tolist() == list(coefficients_for_key(17, 64))
+        assert numerators.tolist() == [3, -3, 3, -3, -3, -3, -3]
+
+    def test_empty_split(self):
+        for keys, counts in (([], []), ([5, 9], [0, 0])):
+            indices, values = exact_haar_arrays(
+                np.asarray(keys, dtype=np.int64), np.asarray(counts, dtype=np.int64), 64)
+            assert indices.size == 0 and values.size == 0
+            assert indices.dtype == np.int64 and values.dtype == np.float64
+
+    def test_exact_zeros_stay_on_the_support(self):
+        # Keys 1 and 2 cancel in every coefficient above the finest level.
+        indices, numerators = exact_haar_numerators([1, 2], [5, 5], 8)
+        assert indices.tolist() == [1, 2, 3, 5]
+        assert numerators.tolist() == [10, -10, -10, 0]
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(KeyOutOfDomainError):
+            exact_haar_numerators([3, 65], [1, 1], 64)
+        with pytest.raises(InvalidParameterError):
+            exact_haar_numerators([9, 3], [1, 1], 64)
+        with pytest.raises(InvalidParameterError):
+            exact_haar_numerators([3, 3], [1, 1], 64)
+        with pytest.raises(InvalidParameterError):
+            exact_haar_numerators([3], [1.5], 64)
+        with pytest.raises(InvalidParameterError):
+            integer_count_arrays({3: 1.5})
+
+    def test_integer_count_arrays_sort_the_mapping(self):
+        keys, counts = integer_count_arrays({9: 2.0, 1: -3.0, 4: 7.0})
+        assert keys.tolist() == [1, 4, 9] and counts.tolist() == [-3, 7, 2]
+        assert counts.dtype == np.int64
 
 
 class TestRadixGrouping:

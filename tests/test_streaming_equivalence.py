@@ -6,8 +6,8 @@ The load-bearing invariant of ``repro.streaming``::
     ingest(updates) ∘ maintain  ≡  batch-build(base ∪ updates)
 
 Because the maintainer's durable state is the exact count-space frequency
-vector and every publish re-runs the same ``sparse_haar_transform`` +
-``top_k_coefficients`` pipeline a batch build runs, the streamed synopsis is
+vector and every publish re-runs the same exact integer transform +
+top-k pipeline a batch build runs, the streamed synopsis is
 not merely *close* to the batch one — the stored payloads are byte-identical
 and the sha256 checksums match exactly.  The hypothesis suites below assert
 that for insert-only, insert+delete, and sliding-window streams; fixed tests
@@ -29,6 +29,8 @@ from repro.core import (
     sparse_haar_transform,
     top_k_coefficients,
 )
+from repro.core.haar import exact_haar_arrays
+from repro.core.topk_coefficients import top_k_from_arrays
 from repro.data.dataset import Dataset
 from repro.errors import InvalidParameterError, StreamingError
 from repro.mapreduce import HDFS, ClusterScheduler, JobPlan, JobRunner, MapReduceJob, PlanStage
@@ -57,9 +59,9 @@ def _batch_publish(store: SynopsisStore, name: str, keys: np.ndarray,
                    u: int, k: int):
     """A from-scratch batch build of ``keys``: count, transform, threshold."""
     counts = np.bincount(np.asarray(keys, dtype=np.int64), minlength=u + 1)
-    sparse = {int(key): float(c)
-              for key, c in enumerate(counts) if key >= 1 and c}
-    coefficients = top_k_coefficients(sparse_haar_transform(sparse, u), k)
+    present = np.flatnonzero(counts)
+    coefficients = top_k_from_arrays(
+        *exact_haar_arrays(present, counts[present], u), k)
     histogram = WaveletHistogram.from_coefficients(coefficients, u, k=k)
     return store.save(name, histogram, algorithm="batch")
 

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from repro.core.topk_coefficients import (
     bottom_k_items,
+    bottom_k_positions,
     top_k_coefficients,
+    top_k_from_arrays,
     top_k_from_dense,
     top_k_items,
+    top_k_positions,
 )
 from repro.errors import InvalidParameterError
 
@@ -92,3 +95,38 @@ class TestTopAndBottomItems:
         bottom = bottom_k_items(scores, k)
         assert top[0][1] == max(scores.values())
         assert bottom[0][1] == min(scores.values())
+
+
+class TestPartitionedSelection:
+    """The partition-then-lexsort selection picks the full lexsort's head."""
+
+    @given(st.integers(min_value=0, max_value=80),
+           st.integers(min_value=1, max_value=100),
+           st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=200)
+    def test_positions_equal_the_full_lexsort(self, n, k, distinct_scores, seed):
+        # Few distinct scores make long runs of ties at the k-th score; n < k
+        # covers inputs with fewer than k entries.
+        rng = np.random.default_rng(seed)
+        indices = rng.permutation(10 * (n + 1))[:n].astype(np.int64)
+        values = rng.integers(-distinct_scores, distinct_scores + 1,
+                              size=n).astype(np.float64)
+        np.testing.assert_array_equal(top_k_positions(indices, values, k),
+                                      np.lexsort((indices, -values))[:k])
+        np.testing.assert_array_equal(bottom_k_positions(indices, values, k),
+                                      np.lexsort((indices, values))[:k])
+
+    def test_all_scores_tied(self):
+        indices = np.array([9, 3, 7, 1, 5], dtype=np.int64)
+        values = np.full(5, 2.0)
+        np.testing.assert_array_equal(top_k_positions(indices, values, 2), [3, 1])
+        np.testing.assert_array_equal(bottom_k_positions(indices, values, 3), [3, 1, 4])
+
+    def test_top_k_from_arrays_is_the_full_magnitude_lexsort(self):
+        rng = np.random.default_rng(4)
+        indices = rng.permutation(500)[:200].astype(np.int64) + 1
+        values = rng.integers(-5, 6, size=200).astype(np.float64)
+        order = np.lexsort((indices, -np.abs(values)))[:17]
+        expected = [(int(indices[i]), float(values[i])) for i in order if values[i]]
+        assert list(top_k_from_arrays(indices, values, 17).items()) == expected

@@ -10,7 +10,8 @@ calls, ``.copy()`` method calls, ``.tobytes()`` method calls and
 ``copy.deepcopy(...)`` calls — inside the designated hot-path modules.  The
 runtime and the state store are among them: job state passes by reference as
 frozen arrays, and a deep copy at the task boundary once cost H-WTopk most of
-its build time.
+its build time.  So is ``repro.core.haar``, which holds the exact transform
+every count-transforming mapper runs once per split.
 
 Legitimate copies exist on those paths (serialisers *must* materialise bytes;
 the dict-based reference constructors *are* the copying path) and carry the
@@ -32,6 +33,7 @@ from tools.reprolint.registry import register
 # The zero-copy hot paths: modules whose whole point is moving buffers
 # without materialising them.  (Dotted module names, exact match.)
 HOT_PATH_MODULES = frozenset({
+    "repro.core.haar",
     "repro.mapreduce.columnar",
     "repro.mapreduce.runtime",
     "repro.mapreduce.serialization",
