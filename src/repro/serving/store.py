@@ -51,7 +51,7 @@ import mmap
 import struct
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -195,7 +195,10 @@ class SynopsisMetadata:
     build: Dict[str, Any] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        # A shallow dict of the fields: ``asdict`` would deep-copy ``build``
+        # on every save, and json.dumps writes the same text either way.
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)},
+                          sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "SynopsisMetadata":

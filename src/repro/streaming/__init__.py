@@ -4,11 +4,12 @@ The batch pipeline builds a wavelet histogram once, from a finished dataset;
 this package keeps one *current* as updates keep arriving:
 
 * :class:`~repro.streaming.partial.PartialSynopsis` — the exact count-space
-  delta of a slice of the update stream; linear, so partials ``merge()``
-  associatively and bit-identically in any order;
+  delta of a slice of the update stream as sorted int64 keys and counts;
+  linear, so partials ``merge()`` associatively and bit-identically in any
+  order;
 * :class:`~repro.streaming.ingest.StreamIngestor` — turns raw insert/delete
-  key batches into partials through the columnar plane (``np.bincount`` per
-  shard, optionally fanned out across the executor seam);
+  key batches into partials (``np.unique`` per update array of a shard,
+  optionally fanned out across the executor seam);
 * :class:`~repro.streaming.maintain.SynopsisMaintainer` — folds sequenced
   partials into a :class:`~repro.serving.store.SynopsisStore` on a cadence,
   publishing each new version as a **delta** over its parent (recorded in

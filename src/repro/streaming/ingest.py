@@ -2,8 +2,8 @@
 
 The ingestor is the streaming counterpart of the batch mapper: it turns
 arrays of inserted/deleted keys into :class:`~repro.streaming.partial.PartialSynopsis`
-count deltas through the columnar plane (``np.bincount`` per shard).  Large
-batches optionally fan out across the PR-1
+count deltas — sorted int64 keys and counts, one ``np.unique`` per update
+array of a shard.  Large batches optionally fan out across the
 :class:`~repro.mapreduce.executor.Executor` seam as generic
 :class:`~repro.mapreduce.executor.FunctionTaskSpec` tasks — a
 ``SerialExecutor`` counts shards inline, a ``ParallelExecutor`` spreads them
@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.haar import validate_domain
 from repro.errors import InvalidParameterError
 from repro.mapreduce.executor import Executor, FunctionTaskSpec
-from repro.streaming.partial import PartialSynopsis
+from repro.streaming.partial import PartialSynopsis, update_keys
 from repro.telemetry import apply_task_metrics, get_telemetry
 
 __all__ = ["StreamIngestor", "count_update_shard"]
@@ -42,7 +42,7 @@ def count_update_shard(
     """Worker entry point: count one shard of an update batch.
 
     Module-level (picklable) so a ParallelExecutor can ship it to worker
-    processes; runs the same ``np.bincount`` pass the inline path runs.
+    processes; runs the same ``np.unique`` count the inline path runs.
     """
     u, inserts, deletes = payload
     return PartialSynopsis.from_updates(u, inserts, deletes)
@@ -89,8 +89,7 @@ class StreamIngestor:
         ``PartialSynopsis.from_updates(u, inserts, deletes)`` however the
         work was sharded across the executor.
         """
-        inserts = self._as_array(inserts)
-        deletes = self._as_array(deletes)
+        inserts, deletes = update_keys(inserts), update_keys(deletes)
         total = inserts.size + deletes.size
         telemetry = get_telemetry()
         started = time.perf_counter()
@@ -143,14 +142,6 @@ class StreamIngestor:
         return drained
 
     # -------------------------------------------------------------- internals
-    def _as_array(self, keys: Optional[Any]) -> np.ndarray:
-        if keys is None:
-            return np.zeros(0, dtype=np.int64)
-        array = np.atleast_1d(np.asarray(keys, dtype=np.int64))
-        if array.ndim != 1:
-            raise InvalidParameterError("update keys must be a 1-D array")
-        return array
-
     def _sharded_batch(
         self, inserts: np.ndarray, deletes: np.ndarray
     ) -> Tuple[PartialSynopsis, int]:
@@ -180,11 +171,5 @@ class StreamIngestor:
             merged = merged.merge(result.pairs[0][1])
         # The shards came from one logical batch: restore batch-level
         # bookkeeping (every shard counted itself as a batch of its own).
-        return PartialSynopsis(
-            u=self.u,
-            counts=merged.counts,
-            insertions=int(inserts.size),
-            deletions=int(deletes.size),
-            batches=1,
-            partition=self.partition,
-        ), len(specs)
+        merged.batches, merged.partition = 1, self.partition
+        return merged, len(specs)

@@ -7,16 +7,20 @@ deltas are folded on a configurable cadence, and every serving publish is a
 **delta over the previous version** — recorded as ``parent_version`` (plus
 update counts) in the store metadata — never a rescan of base data.
 
-**Why the durable state is count space.**  The maintainer's state is the full
-(untruncated) frequency vector of everything applied so far, checkpointed as
-a companion catalog entry ``<name>.state`` — the WHSYN payload format is just
-sorted ``(index, value)`` pairs, so the same serialisation, checksumming and
-atomic-publish machinery carries count vectors in the key basis unchanged.
-Publishing transforms the state with the exact integer transform the batch
+**Why the durable state is count space.**  The maintainer's state is one
+partial: the full (untruncated) frequency vector of everything applied so
+far, as sorted int64 keys and int64 counts.  Folding a batch is
+:meth:`~repro.streaming.partial.PartialSynopsis.merge`.  The state is
+checkpointed as a companion catalog entry ``<name>.state`` — the WHSYN
+payload format is just sorted ``(index, value)`` pairs, so the same
+serialisation, checksumming and atomic-publish machinery carries the keys as
+int64 indices and the counts as float64 values unchanged.  Publishing
+transforms the state's arrays with the exact integer transform the batch
 builds use and re-selects the top-``k``
-(:func:`~repro.core.topk_coefficients.exact_top_k`).  By Haar linearity this
-equals "the coefficients of ``v`` plus the coefficient delta of the updates,
-re-thresholded" (:func:`~repro.core.topk_coefficients.merge_coefficients`
+(:func:`~repro.core.haar.exact_haar_arrays`,
+:func:`~repro.core.topk_coefficients.top_k_from_arrays`).  By Haar linearity
+this equals "the coefficients of ``v`` plus the coefficient delta of the
+updates, re-thresholded" (:func:`~repro.core.topk_coefficients.merge_coefficients`
 composed with :func:`~repro.core.topk_coefficients.top_k_coefficients`) — but
 doing the sum in integer count space keeps it *exact*, so a streamed synopsis
 is byte-identical, checksum included, to a from-scratch batch build of the
@@ -35,23 +39,27 @@ serving metadata's ``applied_batches`` trails the state's) and completes —
 no version is ever skipped or double-applied.
 
 :class:`SlidingWindowMaintainer` is the windowed variant: a ring of
-per-epoch partials where advancing folds the newest epoch in and expiry
-*subtracts* the evicted epoch's partial (exact, by linearity).  Its state is
-reconstructed after a restart by re-delivering the in-window epochs; epochs
-at or below the published high-water mark rebuild the ring without
-re-publishing.
+per-epoch partials where advancing merges the newest epoch in and expiry
+merges the evicted epoch's :meth:`~repro.streaming.partial.PartialSynopsis.negated`
+partial (exact, by linearity).  Its state is reconstructed after a restart
+by re-delivering the in-window epochs; epochs at or below the published
+high-water mark rebuild the ring without re-publishing.  Each maintainer
+keeps to the names it publishes: a cumulative stream needs its
+``<name>.state`` checkpoint, a windowed stream a latest version that records
+its ``window``.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from collections import deque
-from typing import Any, Deque, Dict, Optional
+from typing import Any, Deque, Dict, List, Optional
 
-from repro.core.haar import validate_domain
+from repro.core.haar import exact_haar_arrays, validate_domain
 from repro.core.histogram import WaveletHistogram
-from repro.core.topk_coefficients import exact_top_k
+from repro.core.topk_coefficients import top_k_from_arrays
 from repro.errors import InvalidParameterError, StreamingError, TaskTransientError
 from repro.mapreduce.faults import RetryPolicy
 from repro.serving.store import SynopsisMetadata, SynopsisStore
@@ -112,7 +120,69 @@ def _retrying_write(policy: Optional[RetryPolicy], stream: str, stage: str,
             attempt += 1
 
 
-class SynopsisMaintainer:
+class _StreamMaintainer:
+    """What both maintainers share: the count state and the serving publish.
+
+    Subclasses set :attr:`u`, :attr:`k` and ``_state``, the exact count
+    vector every publish transforms.
+    """
+
+    u: int
+    k: int
+    _state: PartialSynopsis
+
+    def __init__(self, store: SynopsisStore, name: str, *, algorithm: str,
+                 seed: Optional[int], retry_policy: Optional[RetryPolicy]) -> None:
+        self.store = store
+        self.name = name
+        self.algorithm = algorithm
+        self.seed = seed
+        self.retry_policy = retry_policy
+        self._applied = 0
+        self._last_publish_s: Optional[float] = None
+
+    @property
+    def applied_batches(self) -> int:
+        """Sequence high-water mark: batches (epochs) applied to the state."""
+        return self._applied
+
+    def _publish_serving(self, build: Dict[str, Any], **span: Any) -> SynopsisMetadata:
+        """Publish the state's top-``k`` as a delta over the latest version."""
+        telemetry = get_telemetry()
+        started = time.perf_counter()
+        parent = self.store.latest_version(self.name, default=0) or None
+        coefficients = top_k_from_arrays(
+            *exact_haar_arrays(self._state.keys, self._state.counts, self.u), self.k)
+        histogram = WaveletHistogram.from_coefficients(coefficients, self.u, k=self.k)
+        with telemetry.tracer.span("maintain.publish", kind="streaming",
+                                   stream=self.name, applied=self._applied, **span):
+            metadata = _retrying_write(
+                self.retry_policy, self.name, "publish",
+                lambda: self.store.save_delta(
+                    self.name,
+                    histogram,
+                    parent_version=parent,
+                    algorithm=self.algorithm,
+                    seed=self.seed,
+                    build=build,
+                ),
+            )
+        now = time.perf_counter()
+        registry = telemetry.metrics
+        registry.observe("repro_stream_publish_seconds", now - started,
+                         stream=self.name)
+        if self._last_publish_s is not None:
+            # Publish cadence: wall-clock gap between consecutive versions.
+            registry.observe("repro_stream_publish_interval_seconds",
+                             now - self._last_publish_s, stream=self.name)
+        self._last_publish_s = now
+        registry.inc("repro_stream_publishes_total", 1.0, stream=self.name)
+        logger.debug("published stream %s v%d (%d applied batch(es))",
+                     self.name, metadata.version, self._applied)
+        return metadata
+
+
+class SynopsisMaintainer(_StreamMaintainer):
     """Maintains one named synopsis incrementally from sequenced partials.
 
     Args:
@@ -147,19 +217,11 @@ class SynopsisMaintainer:
     ) -> None:
         if cadence < 1:
             raise InvalidParameterError(f"cadence must be positive, got {cadence}")
-        self.store = store
-        self.name = name
+        super().__init__(store, name, algorithm=algorithm, seed=seed,
+                         retry_policy=retry_policy)
         self.state_name = name + STATE_SUFFIX
-        self.algorithm = algorithm
         self.cadence = cadence
-        self.seed = seed
-        self.retry_policy = retry_policy
-        self._pending: list = []
-        self._counts: Dict[int, float] = {}
-        self._applied = 0
-        self._insertions = 0
-        self._deletions = 0
-        self._last_publish_s: Optional[float] = None
+        self._pending: List[PartialSynopsis] = []
 
         state_version = store.latest_version(self.state_name, default=0)
         serving_version = store.latest_version(name, default=0)
@@ -179,6 +241,7 @@ class SynopsisMaintainer:
             validate_domain(u)
             self.u = u
             self.k = int(k) if k is not None else 30
+            self._state = PartialSynopsis.empty(u)
         if self.k < 1:
             raise InvalidParameterError(f"k must be positive, got {self.k}")
 
@@ -192,25 +255,19 @@ class SynopsisMaintainer:
                 f"cannot reopen with u={u}"
             )
         self.u = metadata.u
-        # The checkpoint payload carries the count vector in the key basis:
-        # "coefficients" here are counts, exactly as published.
-        self._counts = {
-            int(key): float(value)
-            for key, value in handle.histogram.coefficients.items()
-        }
         build = metadata.build
+        # The checkpoint payload carries the count vector in the key basis:
+        # "coefficients" here are keys and counts, exactly as checkpointed.
+        self._state = PartialSynopsis(
+            self.u, *handle.coefficient_arrays(),
+            insertions=int(build.get("insertions", 0)),
+            deletions=int(build.get("deletions", 0)),
+        )
         self._applied = int(build.get("applied_batches", 0))
-        self._insertions = int(build.get("insertions", 0))
-        self._deletions = int(build.get("deletions", 0))
         recovered_k = build.get("k")
         self.k = int(k) if k is not None else int(recovered_k or 30)
 
     # -------------------------------------------------------------- properties
-    @property
-    def applied_batches(self) -> int:
-        """Sequence high-water mark: batches folded into the durable state."""
-        return self._applied
-
     @property
     def pending_batches(self) -> int:
         """Batches ingested but not yet folded (below the cadence)."""
@@ -272,40 +329,29 @@ class SynopsisMaintainer:
         published.
         """
         if self._pending:
-            cycle = PartialSynopsis.empty(self.u)
-            for partial in self._pending:
-                cycle = cycle.merge(partial)
+            cycle = functools.reduce(PartialSynopsis.merge, self._pending)
             cycle_batches = len(self._pending)
             self._pending = []
             get_telemetry().metrics.set_gauge(
                 "repro_stream_pending_batches", 0, stream=self.name
             )
-            self._fold(cycle)
+            self._state = self._state.merge(cycle)
             self._applied += cycle_batches
-            self._insertions += cycle.insertions
-            self._deletions += cycle.deletions
             self._checkpoint_state()
-            return self._publish_serving(
-                cycle_batches, cycle.insertions, cycle.deletions
-            )
-        if force or self._serving_lags():
-            return self._publish_serving(0, 0, 0)
-        return None
+        elif force or self._serving_lags():
+            cycle, cycle_batches = PartialSynopsis.empty(self.u), 0
+        else:
+            return None
+        return self._publish_serving({
+            "applied_batches": self._applied,
+            "insertions": self._state.insertions,
+            "deletions": self._state.deletions,
+            "cycle_batches": cycle_batches,
+            "cycle_insertions": cycle.insertions,
+            "cycle_deletions": cycle.deletions,
+        }, cycle_batches=cycle_batches)
 
     # -------------------------------------------------------------- internals
-    def _fold(self, cycle: PartialSynopsis) -> None:
-        """Apply one cycle's count delta to the full state (exact addition)."""
-        counts = self._counts
-        for key, value in cycle.counts.items():
-            total = counts.get(key, 0.0) + value
-            if total == 0.0:
-                counts.pop(key, None)
-            else:
-                counts[key] = total
-
-    def _sorted_counts(self) -> Dict[int, float]:
-        return {key: self._counts[key] for key in sorted(self._counts)}
-
     def _serving_lags(self) -> bool:
         """Whether the serving synopsis trails the durable state."""
         latest = self.store.latest_version(self.name, default=0)
@@ -318,8 +364,9 @@ class SynopsisMaintainer:
         """Publish the full count vector as the next ``<name>.state`` version."""
         telemetry = get_telemetry()
         started = time.perf_counter()
+        state = self._state
         histogram = WaveletHistogram.from_coefficients(
-            self._sorted_counts(), self.u, k=None
+            dict(zip(state.keys.tolist(), state.counts.tolist())), self.u, k=None
         )
         with telemetry.tracer.span("maintain.checkpoint", kind="streaming",
                                    stream=self.name, applied=self._applied):
@@ -335,8 +382,8 @@ class SynopsisMaintainer:
                         "stream": self.name,
                         "k": self.k,
                         "applied_batches": self._applied,
-                        "insertions": self._insertions,
-                        "deletions": self._deletions,
+                        "insertions": state.insertions,
+                        "deletions": state.deletions,
                     },
                 ),
             )
@@ -347,57 +394,13 @@ class SynopsisMaintainer:
         logger.debug("checkpointed stream %s at %d applied batch(es)",
                      self.name, self._applied)
 
-    def _publish_serving(
-        self, cycle_batches: int, cycle_insertions: int, cycle_deletions: int
-    ) -> SynopsisMetadata:
-        """Publish the serving synopsis as a delta over its previous version."""
-        telemetry = get_telemetry()
-        started = time.perf_counter()
-        parent = self.store.latest_version(self.name, default=0) or None
-        coefficients = exact_top_k(self._counts, self.u, self.k)
-        histogram = WaveletHistogram.from_coefficients(coefficients, self.u, k=self.k)
-        with telemetry.tracer.span("maintain.publish", kind="streaming",
-                                   stream=self.name, applied=self._applied,
-                                   cycle_batches=cycle_batches):
-            metadata = _retrying_write(
-                self.retry_policy, self.name, "publish",
-                lambda: self.store.save_delta(
-                    self.name,
-                    histogram,
-                    parent_version=parent,
-                    algorithm=self.algorithm,
-                    seed=self.seed,
-                    build={
-                        "applied_batches": self._applied,
-                        "insertions": self._insertions,
-                        "deletions": self._deletions,
-                        "cycle_batches": cycle_batches,
-                        "cycle_insertions": cycle_insertions,
-                        "cycle_deletions": cycle_deletions,
-                    },
-                ),
-            )
-        now = time.perf_counter()
-        registry = telemetry.metrics
-        registry.observe("repro_stream_publish_seconds", now - started,
-                         stream=self.name)
-        if self._last_publish_s is not None:
-            # Publish cadence: wall-clock gap between consecutive versions.
-            registry.observe("repro_stream_publish_interval_seconds",
-                             now - self._last_publish_s, stream=self.name)
-        self._last_publish_s = now
-        registry.inc("repro_stream_publishes_total", 1.0, stream=self.name)
-        logger.debug("published stream %s v%d (%d applied batch(es))",
-                     self.name, metadata.version, self._applied)
-        return metadata
 
-
-class SlidingWindowMaintainer:
+class SlidingWindowMaintainer(_StreamMaintainer):
     """Maintains a synopsis over the most recent ``window`` epochs of a stream.
 
-    The state is a ring of per-epoch partials: advancing folds the newest
-    epoch's partial into the window counts and, once the ring is full,
-    **subtracts** the evicted epoch's partial — exact by linearity, so every
+    The state is a ring of per-epoch partials: advancing merges the newest
+    epoch's partial into the window state and, once the ring is full, merges
+    the evicted epoch's **negated** partial — exact by linearity, so every
     published version equals a batch build over exactly the in-window
     updates.  One :meth:`advance` (or :meth:`ingest`) call is one epoch, and
     each epoch that moves the high-water mark publishes a delta version.
@@ -407,6 +410,8 @@ class SlidingWindowMaintainer:
     re-delivering epochs from :attr:`resume_from` — at-least-once upstream
     delivery again.  Re-delivered epochs at or below the published high-water
     mark re-enter the ring without publishing, so versions stay exactly-once.
+    A name whose latest version records no ``window`` (a batch build or a
+    cumulative stream) is refused with :class:`~repro.errors.StreamingError`.
     """
 
     def __init__(
@@ -423,29 +428,30 @@ class SlidingWindowMaintainer:
     ) -> None:
         if window < 1:
             raise InvalidParameterError(f"window must be positive, got {window}")
-        self.store = store
-        self.name = name
+        super().__init__(store, name, algorithm=algorithm, seed=seed,
+                         retry_policy=retry_policy)
         self.window = window
-        self.algorithm = algorithm
-        self.seed = seed
-        self.retry_policy = retry_policy
         self._ring: Deque[PartialSynopsis] = deque()
-        self._counts: Dict[int, float] = {}
         self._last_seen: Optional[int] = None
-        self._last_publish_s: Optional[float] = None
 
         latest = store.latest_version(name, default=0)
         if latest:
             metadata = store.load(name, latest).metadata
+            if "window" not in metadata.build:
+                raise StreamingError(
+                    f"synopsis {name!r} v{latest} was not published by a "
+                    f"sliding-window stream; a windowed stream must start "
+                    f"from an unused name"
+                )
             if u is not None and int(u) != metadata.u:
                 raise InvalidParameterError(
                     f"windowed stream {name!r} has domain u={metadata.u}, "
                     f"cannot reopen with u={u}"
                 )
-            if int(metadata.build.get("window", window)) != window:
+            if int(metadata.build["window"]) != window:
                 raise StreamingError(
                     f"windowed stream {name!r} was published with window="
-                    f"{metadata.build.get('window')}, cannot reopen with "
+                    f"{metadata.build['window']}, cannot reopen with "
                     f"window={window}"
                 )
             self.u = metadata.u
@@ -459,16 +465,11 @@ class SlidingWindowMaintainer:
             validate_domain(u)
             self.u = u
             self.k = int(k) if k is not None else 30
-            self._applied = 0
         if self.k < 1:
             raise InvalidParameterError(f"k must be positive, got {self.k}")
+        self._state = PartialSynopsis.empty(self.u)
 
     # -------------------------------------------------------------- properties
-    @property
-    def applied_batches(self) -> int:
-        """Epoch high-water mark: epochs published through."""
-        return self._applied
-
     @property
     def resume_from(self) -> int:
         """First epoch a restarted maintainer must be re-delivered."""
@@ -514,13 +515,13 @@ class SlidingWindowMaintainer:
             )
         self._last_seen = sequence
         self._ring.append(partial)
-        self._fold(partial)
+        self._state = self._state.merge(partial)
         if len(self._ring) > self.window:
-            self._fold(self._ring.popleft().negated())
+            self._state = self._state.merge(self._ring.popleft().negated())
         if sequence <= self._applied:
             return None  # re-delivered epoch: ring rebuilt, already published
         self._applied = sequence
-        return self._publish_serving()
+        return self._publish_window()
 
     def ingest(
         self, partial: PartialSynopsis, *, sequence: Optional[int] = None
@@ -531,55 +532,17 @@ class SlidingWindowMaintainer:
     def maintain(self, *, force: bool = False) -> Optional[SynopsisMetadata]:
         """Windowed streams publish per epoch; ``force`` republishes the window."""
         if force:
-            return self._publish_serving()
+            return self._publish_window()
         return None
 
     # -------------------------------------------------------------- internals
-    def _fold(self, partial: PartialSynopsis) -> None:
-        counts = self._counts
-        for key, value in partial.counts.items():
-            total = counts.get(key, 0.0) + value
-            if total == 0.0:
-                counts.pop(key, None)
-            else:
-                counts[key] = total
-
-    def _publish_serving(self) -> SynopsisMetadata:
-        telemetry = get_telemetry()
-        started = time.perf_counter()
-        parent = self.store.latest_version(self.name, default=0) or None
-        coefficients = exact_top_k(self._counts, self.u, self.k)
-        histogram = WaveletHistogram.from_coefficients(coefficients, self.u, k=self.k)
-        build: Dict[str, Any] = {
+    def _publish_window(self) -> SynopsisMetadata:
+        # The state is the sum of the ring's partials, so its update counters
+        # are the window's.
+        return self._publish_serving({
             "window": self.window,
             "applied_batches": self._applied,
             "window_batches": len(self._ring),
-            "window_insertions": int(sum(p.insertions for p in self._ring)),
-            "window_deletions": int(sum(p.deletions for p in self._ring)),
-        }
-        with telemetry.tracer.span("maintain.publish", kind="streaming",
-                                   stream=self.name, applied=self._applied,
-                                   window_batches=len(self._ring)):
-            metadata = _retrying_write(
-                self.retry_policy, self.name, "publish",
-                lambda: self.store.save_delta(
-                    self.name,
-                    histogram,
-                    parent_version=parent,
-                    algorithm=self.algorithm,
-                    seed=self.seed,
-                    build=build,
-                ),
-            )
-        now = time.perf_counter()
-        registry = telemetry.metrics
-        registry.observe("repro_stream_publish_seconds", now - started,
-                         stream=self.name)
-        if self._last_publish_s is not None:
-            registry.observe("repro_stream_publish_interval_seconds",
-                             now - self._last_publish_s, stream=self.name)
-        self._last_publish_s = now
-        registry.inc("repro_stream_publishes_total", 1.0, stream=self.name)
-        logger.debug("published windowed stream %s v%d (epoch %d)",
-                     self.name, metadata.version, self._applied)
-        return metadata
+            "window_insertions": self._state.insertions,
+            "window_deletions": self._state.deletions,
+        }, window_batches=len(self._ring))

@@ -6,7 +6,7 @@ exploits that by carrying the **count-space** delta of a batch of updates
 (insertions add 1 to a key's count, deletions subtract 1) instead of a
 truncated coefficient set:
 
-* count deltas are integers, so :meth:`PartialSynopsis.merge` is *exact* —
+* count deltas are int64, so :meth:`PartialSynopsis.merge` is *exact* —
   partials from different partitions or epochs fold associatively and
   commutatively with no float-ordering sensitivity, the ``merge()`` idiom of
   linear sketches;
@@ -19,35 +19,67 @@ truncated coefficient set:
   *byte-identical* (checksum and all) to a batch build of the same logical
   multiset.
 
-Counting a batch goes through the columnar plane: one ``np.bincount`` pass
-per update array, exactly like the Send-V batch mapper's whole-split
-counting.
+A partial holds two aligned int64 arrays: ascending distinct ``keys`` and
+their non-zero ``counts`` — the input the exact transform takes.  Counting a
+batch sorts each update array once with ``np.unique(..., return_counts=True)``
+(the batch mappers' split-counting idiom), so nothing dense over ``[1, u]`` is
+built; merging concatenates two partials' arrays and sums them per key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
-from repro.core.haar import exact_haar_arrays, integer_count_arrays, validate_domain
+from repro.core.haar import exact_haar_arrays, validate_domain
 from repro.errors import InvalidParameterError, KeyOutOfDomainError
 
-__all__ = ["PartialSynopsis"]
+__all__ = ["PartialSynopsis", "update_keys"]
 
 
-def _as_key_array(keys: Optional[Any], u: int) -> np.ndarray:
-    """Canonicalise one update array: 1-D int64 keys, bounds-checked."""
+def _no_keys() -> np.ndarray:
+    return np.empty(0, dtype=np.int64)
+
+
+def update_keys(keys: Optional[Any]) -> np.ndarray:
+    """One update array as 1-D int64 keys (``None`` is no updates)."""
     if keys is None:
-        return np.zeros(0, dtype=np.int64)
+        return _no_keys()
     array = np.atleast_1d(np.asarray(keys, dtype=np.int64))
     if array.ndim != 1:
-        raise InvalidParameterError("update keys must be a 1-D array")
-    if array.size and (array.min() < 1 or array.max() > u):
-        bad = array[(array < 1) | (array > u)][0]
-        raise KeyOutOfDomainError(f"update key {int(bad)} outside domain [1, {u}]")
+        raise InvalidParameterError("keys must be a 1-D array")
     return array
+
+
+def _integer_counts(counts: Any) -> np.ndarray:
+    """``counts`` as int64, refusing any value that is not an exact integer."""
+    array = np.atleast_1d(np.asarray(counts))
+    if array.dtype.kind in "iub":
+        return array.astype(np.int64, copy=False)
+    if array.dtype.kind == "f":
+        exact = (np.trunc(array) == array) & (np.abs(array) < 2.0 ** 63)
+        if exact.all():
+            return array.astype(np.int64)
+    raise InvalidParameterError(
+        "partial synopsis counts must be integers (the exact transform takes "
+        "integer counts)"
+    )
+
+
+def _grouped_sum(keys: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sum ``counts`` per distinct key: ascending distinct keys, int64 sums.
+
+    Input already ascending and distinct (a single ``np.unique`` output, a
+    negated partial) passes through unsorted; zero sums are kept.
+    """
+    if keys.size > 1 and not (keys[1:] > keys[:-1]).all():
+        order = np.argsort(keys, kind="stable")
+        keys, counts = keys[order], counts[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        keys, counts = keys[starts], np.add.reduceat(counts, starts)
+    return keys, counts
 
 
 @dataclass(eq=False)
@@ -56,8 +88,12 @@ class PartialSynopsis:
 
     Attributes:
         u: domain size (power of two).
-        counts: sparse ``{key: net count delta}`` over ``[1, u]`` — positive
-            for net insertions, negative for net deletions, zeros dropped.
+        keys: ascending distinct int64 keys in ``[1, u]`` with a non-zero
+            net count.  The constructor accepts keys in any order, with
+            repeats, and sums their counts.
+        counts: int64 net count delta per key — positive for net insertions,
+            negative for net deletions.  A count that is not an exact
+            integer raises :class:`~repro.errors.InvalidParameterError`.
         insertions: raw insertions folded into this partial.
         deletions: raw deletions folded into this partial.
         batches: update batches folded into this partial.
@@ -66,7 +102,8 @@ class PartialSynopsis:
     """
 
     u: int
-    counts: Dict[int, float] = field(default_factory=dict)
+    keys: np.ndarray = field(default_factory=_no_keys)
+    counts: np.ndarray = field(default_factory=_no_keys)
     insertions: int = 0
     deletions: int = 0
     batches: int = 0
@@ -74,17 +111,22 @@ class PartialSynopsis:
 
     def __post_init__(self) -> None:
         validate_domain(self.u)
-        cleaned: Dict[int, float] = {}
-        for key, value in self.counts.items():
-            key = int(key)
-            if key < 1 or key > self.u:
-                raise KeyOutOfDomainError(
-                    f"count key {key} outside domain [1, {self.u}]"
-                )
-            value = float(value)
-            if value != 0.0:
-                cleaned[key] = value
-        self.counts = cleaned
+        keys = update_keys(self.keys)
+        counts = _integer_counts(self.counts)
+        if keys.shape != counts.shape:
+            raise InvalidParameterError(
+                f"partial synopsis has {keys.size} keys but {counts.size} counts"
+            )
+        keys, counts = _grouped_sum(keys, counts)
+        # Keys are sorted now, so the ends bound them all; checked before
+        # zero sums drop, so an out-of-domain key cannot cancel itself away.
+        if keys.size and (keys[0] < 1 or keys[-1] > self.u):
+            bad = keys[0] if keys[0] < 1 else keys[-1]
+            raise KeyOutOfDomainError(f"key {int(bad)} outside domain [1, {self.u}]")
+        live = counts != 0
+        if not live.all():
+            keys, counts = keys[live], counts[live]
+        self.keys, self.counts = keys, counts
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -101,25 +143,20 @@ class PartialSynopsis:
         *,
         partition: Optional[str] = None,
     ) -> "PartialSynopsis":
-        """Count one batch of key updates via the columnar plane.
+        """Count one batch of key updates.
 
-        ``np.bincount`` turns each update array into a dense count vector in
-        one pass (the Send-V batch mapper's counting idiom); the sparse net
-        delta is whatever survives insertions minus deletions.
+        ``np.unique(..., return_counts=True)`` turns each update array into
+        sorted distinct keys and their counts (the batch mappers'
+        split-counting idiom); the net delta is insertions minus deletions,
+        summed per key.
         """
-        validate_domain(u)
-        insert_keys = _as_key_array(inserts, u)
-        delete_keys = _as_key_array(deletes, u)
-        delta = np.zeros(u + 1, dtype=np.int64)
-        if insert_keys.size:
-            delta += np.bincount(insert_keys, minlength=u + 1)
-        if delete_keys.size:
-            delta -= np.bincount(delete_keys, minlength=u + 1)
-        present = np.flatnonzero(delta)
-        counts = {int(key): float(delta[key]) for key in present}
+        insert_keys, delete_keys = update_keys(inserts), update_keys(deletes)
+        inserted, insert_counts = np.unique(insert_keys, return_counts=True)
+        deleted, delete_counts = np.unique(delete_keys, return_counts=True)
         return cls(
             u=u,
-            counts=counts,
+            keys=np.concatenate([inserted, deleted]),
+            counts=np.concatenate([insert_counts, -delete_counts]),
             insertions=int(insert_keys.size),
             deletions=int(delete_keys.size),
             batches=1,
@@ -130,7 +167,7 @@ class PartialSynopsis:
     def merge(self, other: "PartialSynopsis") -> "PartialSynopsis":
         """The exact sum of two partials (linear merge; associative, commutative).
 
-        Count deltas are integers, so the sum carries no float-ordering
+        Count deltas are int64, so the sum carries no float-ordering
         sensitivity: any merge tree over any partitioning of the stream
         produces the identical partial.
         """
@@ -139,13 +176,10 @@ class PartialSynopsis:
                 f"cannot merge partial synopses over different domains "
                 f"({self.u} vs {other.u})"
             )
-        totals = dict(self.counts)
-        for key, value in other.counts.items():
-            totals[key] = totals.get(key, 0.0) + value
-        counts = {key: totals[key] for key in sorted(totals) if totals[key] != 0.0}
         return PartialSynopsis(
             u=self.u,
-            counts=counts,
+            keys=np.concatenate([self.keys, other.keys]),
+            counts=np.concatenate([self.counts, other.counts]),
             insertions=self.insertions + other.insertions,
             deletions=self.deletions + other.deletions,
             batches=self.batches + other.batches,
@@ -161,7 +195,8 @@ class PartialSynopsis:
         """
         return PartialSynopsis(
             u=self.u,
-            counts={key: -value for key, value in self.counts.items()},
+            keys=self.keys,
+            counts=-self.counts,
             insertions=-self.insertions,
             deletions=-self.deletions,
             batches=-self.batches,
@@ -169,21 +204,21 @@ class PartialSynopsis:
         )
 
     # ------------------------------------------------------------------- views
-    def coefficients(self) -> Dict[int, float]:
-        """The coefficient-space delta: sparse Haar transform of the counts.
+    def coefficients(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The coefficient-space delta: ``(indices, values)`` of the sparse
+        Haar transform of the counts.
 
         Computed by the exact integer transform the batch builds use, so
         coefficient values are bit-identical to a batch transform of the
         same counts.
         """
-        indices, values = exact_haar_arrays(*integer_count_arrays(self.counts), self.u)
-        return dict(zip(indices.tolist(), values.tolist()))
+        return exact_haar_arrays(self.keys, self.counts, self.u)
 
     # -------------------------------------------------------------- properties
     @property
     def is_empty(self) -> bool:
         """Whether the net count delta is zero everywhere."""
-        return not self.counts
+        return self.keys.size == 0
 
     @property
     def update_count(self) -> int:
@@ -191,4 +226,4 @@ class PartialSynopsis:
         return self.insertions + self.deletions
 
     def __len__(self) -> int:
-        return len(self.counts)
+        return int(self.keys.size)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -21,6 +22,7 @@ from repro.errors import (
 from repro.mapreduce.hdfs import HDFS
 from repro.service import RuntimeProfile
 from repro.serving.store import (
+    META_FILENAME,
     PAYLOAD_FILENAME,
     SynopsisStore,
     deserialize_histogram,
@@ -82,8 +84,12 @@ class TestStoreRoundTrip:
     def test_save_load_round_trip(self, tmp_path):
         store = SynopsisStore(str(tmp_path / "store"))
         histogram = _histogram()
+        # A nested build dict, as AlgorithmResult.publish writes one.
+        build = {"communication_bytes": 123.0, "simulated_time_s": 1.5,
+                 "rounds": 1, "counters": {"map.records": 400.0, "shuffle.bytes": 96.0},
+                 "dataset": "orders"}
         metadata = store.save("orders", histogram, algorithm="Send-V", seed=3,
-                              build={"communication_bytes": 123.0})
+                              build=build)
         assert metadata.version == 1
         assert metadata.coefficient_count == len(histogram)
         assert metadata.build["communication_bytes"] == 123.0
@@ -92,6 +98,11 @@ class TestStoreRoundTrip:
         assert loaded.histogram.coefficients == histogram.coefficients
         with open(os.path.join(loaded.directory, PAYLOAD_FILENAME), "rb") as handle:
             assert hashlib.sha256(handle.read()).hexdigest() == metadata.checksum_sha256
+        # meta.json keeps the text the store has always written: the JSON of
+        # dataclasses.asdict, nested dicts included.
+        with open(os.path.join(loaded.directory, META_FILENAME), encoding="utf-8") as handle:
+            assert handle.read() == json.dumps(
+                dataclasses.asdict(metadata), sort_keys=True, indent=2) + "\n"
 
     def test_versions_are_append_only(self, tmp_path):
         store = SynopsisStore(str(tmp_path))

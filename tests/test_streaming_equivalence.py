@@ -246,6 +246,28 @@ class TestSlidingWindow:
         with pytest.raises(StreamingError):
             SlidingWindowMaintainer(store, "window", window=4)
 
+    def test_window_refuses_a_batch_built_name(self):
+        """Regression: a window used to delta-publish over a batch build."""
+        store = SynopsisStore.in_memory()
+        _batch_publish(store, "built", np.array([1, 2, 3]), U, K)
+        with pytest.raises(StreamingError):
+            SlidingWindowMaintainer(store, "built", window=2)
+        assert store.versions("built") == [1]
+
+    def test_window_refuses_a_cumulative_stream(self):
+        """Regression: reopening a 12-batch cumulative stream as a window of
+        3 used to take its next batches for re-delivered epochs 10 and 11,
+        publishing nothing and raising nothing."""
+        store = SynopsisStore.in_memory()
+        batches = UpdateStreamGenerator(u=U, seed=31).batches(40, 14)
+        service = SynopsisService(store)
+        for batch in batches[:12]:
+            service.ingest("hits", batch.inserts, u=U, k=K)
+        with pytest.raises(StreamingError):
+            SynopsisService(store).ingest("hits", batches[12].inserts,
+                                          u=U, k=K, window=3)
+        assert store.versions("hits") == list(range(1, 13))
+
 
 # ------------------------------------------------ crash / exactly-once
 class TestCrashRecovery:
@@ -422,6 +444,30 @@ def _key_arrays():
         lambda keys: np.asarray(keys, dtype=np.int64))
 
 
+def _assert_same_counts(left, right):
+    np.testing.assert_array_equal(left.keys, right.keys)
+    np.testing.assert_array_equal(left.counts, right.counts)
+
+
+def _assert_dense_counts(partial, dense):
+    """``partial`` holds exactly the non-zero entries of a dense count vector."""
+    live = np.flatnonzero(dense)
+    assert partial.keys.dtype == partial.counts.dtype == np.int64
+    np.testing.assert_array_equal(partial.keys, live)
+    np.testing.assert_array_equal(partial.counts, dense[live])
+
+
+@st.composite
+def _update_streams(draw):
+    """``(u, [(inserts, deletes), ...])`` at u from 2 to 2^20; the domain's
+    end keys are drawn often, and either array of a batch may be empty."""
+    u = 2 ** draw(st.integers(1, 20))
+    keys = st.lists(st.one_of(st.sampled_from([1, u]), st.integers(1, u)),
+                    max_size=30).map(lambda k: np.asarray(k, dtype=np.int64))
+    batches = draw(st.lists(st.tuples(keys, keys), min_size=1, max_size=4))
+    return u, batches
+
+
 class TestPartialSynopsisAlgebra:
     @given(a=_key_arrays(), b=_key_arrays(), c=_key_arrays())
     @settings(max_examples=100, deadline=None)
@@ -429,9 +475,8 @@ class TestPartialSynopsisAlgebra:
         pa = PartialSynopsis.from_updates(64, inserts=a)
         pb = PartialSynopsis.from_updates(64, inserts=b, deletes=c[:len(c) // 2])
         pc = PartialSynopsis.from_updates(64, inserts=c)
-        assert pa.merge(pb).counts == pb.merge(pa).counts
-        assert (pa.merge(pb).merge(pc).counts
-                == pa.merge(pb.merge(pc)).counts)
+        _assert_same_counts(pa.merge(pb), pb.merge(pa))
+        _assert_same_counts(pa.merge(pb).merge(pc), pa.merge(pb.merge(pc)))
 
     @given(a=_key_arrays(), b=_key_arrays())
     @settings(max_examples=100, deadline=None)
@@ -442,10 +487,14 @@ class TestPartialSynopsisAlgebra:
         transformed coefficients rounds differently from transforming summed
         counts — which is exactly why the maintainer's durable state lives in
         count space, where merging *is* bit-exact integer addition.)"""
+        def coefficients(partial):
+            indices, values = partial.coefficients()
+            return dict(zip(indices.tolist(), values.tolist()))
+
         pa = PartialSynopsis.from_updates(64, inserts=a)
         pb = PartialSynopsis.from_updates(64, inserts=b)
-        merged = pa.merge(pb).coefficients()
-        summed = merge_coefficients(pa.coefficients(), pb.coefficients())
+        merged = coefficients(pa.merge(pb))
+        summed = merge_coefficients(coefficients(pa), coefficients(pb))
         for index in set(merged) | set(summed):
             assert merged.get(index, 0.0) == pytest.approx(
                 summed.get(index, 0.0), abs=1e-9)
@@ -455,6 +504,49 @@ class TestPartialSynopsisAlgebra:
     def test_negation_cancels_exactly(self, a):
         partial = PartialSynopsis.from_updates(64, inserts=a)
         assert partial.merge(partial.negated()).is_empty
+
+    @given(stream=_update_streams())
+    @settings(max_examples=60, deadline=None)
+    def test_partials_and_checkpoint_match_dense_counts(self, stream):
+        """Counting, merging, negating and checkpoint recovery against an
+        ``np.bincount`` replay of the same updates."""
+        u, batches = stream
+        dense_total = np.zeros(u + 1, dtype=np.int64)
+        partials = []
+        for inserts, deletes in batches:
+            dense = (np.bincount(inserts, minlength=u + 1)
+                     - np.bincount(deletes, minlength=u + 1))
+            partial = PartialSynopsis.from_updates(u, inserts, deletes)
+            _assert_dense_counts(partial, dense)
+            assert (partial.insertions, partial.deletions) == (inserts.size,
+                                                               deletes.size)
+            dense_total += dense
+            partials.append(partial)
+
+        first, middle, last = partials[0], partials[len(partials) // 2], partials[-1]
+        _assert_same_counts(first.merge(last), last.merge(first))
+        _assert_same_counts(first.merge(middle).merge(last),
+                            first.merge(middle.merge(last)))
+        assert first.merge(first.negated()).is_empty
+
+        store = SynopsisStore.in_memory()
+        maintainer = SynopsisMaintainer(store, "dense", u=u, k=4)
+        for partial in partials:
+            maintainer.ingest(partial)
+        reopened = SynopsisMaintainer(store, "dense")
+        assert reopened.applied_batches == len(batches)
+        _assert_dense_counts(reopened._state, dense_total)
+
+    def test_fractional_counts_are_refused_before_the_checkpoint(self):
+        """Regression: a fractional count used to be accepted, checkpointed,
+        and then fail every later publish of the stream, recovery included."""
+        store = SynopsisStore.in_memory()
+        maintainer = SynopsisMaintainer(store, "frac", u=8, k=4)
+        with pytest.raises(InvalidParameterError, match="integer"):
+            maintainer.ingest(PartialSynopsis(u=8, keys=[1], counts=[0.5]))
+        assert store.versions("frac.state") == []
+        maintainer.ingest(PartialSynopsis(u=8, keys=[1], counts=[2.0]))
+        assert store.versions("frac") == [1]
 
     @pytest.mark.parametrize("executor_name", ["serial", "parallel"])
     def test_sharded_ingest_equals_inline(self, executor_name):
@@ -467,7 +559,7 @@ class TestPartialSynopsisAlgebra:
             inline = StreamIngestor(U).batch(inserts, deletes)
             sharded = StreamIngestor(U, executor=executor,
                                      shard_size=64).batch(inserts, deletes)
-            assert sharded.counts == inline.counts
+            _assert_same_counts(sharded, inline)
             assert sharded.insertions == inline.insertions
             assert sharded.deletions == inline.deletions
             assert sharded.batches == inline.batches == 1
