@@ -110,7 +110,7 @@ from repro.telemetry import (
 # handlers — applications opt in (the CLI's --log-level does).
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "AlgorithmResult",

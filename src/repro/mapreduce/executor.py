@@ -499,8 +499,9 @@ class FunctionTaskSpec:
     """A generic task: a module-level function applied to a picklable payload.
 
     This is the executor seam's escape hatch for work that is not a MapReduce
-    phase — the serving layer uses it to fan query-batch shards across the
-    same serial/parallel executors the runtime uses for map and reduce tasks.
+    phase — streaming ingest uses it to count large update batches in shards
+    across the same serial/parallel executors the runtime uses for map and
+    reduce tasks.
     The function must be defined at module level (same picklability contract
     as mappers and reducers) and its return value must be picklable; the
     result is delivered as the single pair ``("result", value, 0)``.

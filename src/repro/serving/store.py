@@ -12,10 +12,11 @@ layout of one directory per version::
 while :class:`~repro.serving.backends.MemoryBackend` holds the identical
 bytes in process memory (see :meth:`SynopsisStore.in_memory`).
 
-The binary format is fixed-endian and fully deterministic — serialising the
-same histogram twice produces byte-identical files, which is what makes the
-store's round-trip guarantee testable *and* makes backends interchangeable
-(the same synopsis has the same checksum everywhere)::
+The binary format is fixed-endian and fully deterministic — its one writer,
+:func:`serialize_arrays`, turns the same ``(u, k, indices, values)`` into
+byte-identical payloads, which is what makes the store's round-trip guarantee
+testable *and* makes backends interchangeable (the same synopsis has the same
+checksum everywhere); :func:`deserialize_arrays` is its mirror::
 
     WHSYN001 | header_len (u32 LE) | header JSON (u, k, count)
              | count * int64 LE coefficient indices (ascending)
@@ -30,10 +31,11 @@ Design points:
   verifies it — in the store layer, *above* the backend seam, so no backend
   can opt out — and raises :class:`~repro.errors.SynopsisIntegrityError` on
   mismatch, so silent corruption cannot flow into query answers.
-* **Lazy**: :meth:`SynopsisStore.load` reads only the (small) metadata;
-  the coefficient payload is read and verified on first access to
-  :attr:`StoredSynopsis.histogram`.  A server can therefore enumerate a large
-  catalog cheaply and fault synopses in on first query.
+* **Lazy**: :meth:`SynopsisStore.load` reads only the (small) metadata; the
+  payload is read and verified on first use of
+  :meth:`StoredSynopsis.coefficient_arrays` (views over its bytes) or
+  :meth:`StoredSynopsis.engine` (which adopts them).  A server can therefore
+  enumerate a large catalog cheaply and fault synopses in on first query.
 * **Atomic-ish publish**: the backend publishes metadata and payload together
   (the directory backend stages and renames), so readers never observe a
   half-written version.
@@ -52,7 +54,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -80,39 +82,68 @@ __all__ = [
     "SynopsisMetadata",
     "StoredSynopsis",
     "SynopsisStore",
-    "serialize_histogram",
-    "deserialize_histogram",
+    "serialize_arrays",
     "deserialize_arrays",
 ]
 
 logger = logging.getLogger(__name__)
 
 MAGIC = b"WHSYN001"
-_NAME_PATTERN = NAME_PATTERN  # backwards-compatible alias
+
+# A synopsis as the writer takes it: (u, k, ascending indices, values).
+_Arrays = Tuple[int, Optional[int], np.ndarray, np.ndarray]
 
 
 # ----------------------------------------------------------------- byte format
-def serialize_histogram(histogram: WaveletHistogram) -> bytes:
-    """Serialise a histogram to the store's deterministic binary format."""
-    items = sorted(histogram.coefficients.items())
-    # A serialiser's whole job is materialising bytes; these copies are the
-    # write path, not the serving path.
-    indices = np.array([i for i, _ in items], dtype="<i8")  # reprolint: disable=hot-path-copy
-    values = np.array([w for _, w in items], dtype="<f8")  # reprolint: disable=hot-path-copy
+def _integer_fault(name: str, value: Any, minimum: int) -> Optional[str]:
+    """Why ``value`` is not an integer of at least ``minimum``, or ``None``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        return f"{name} must be an integer >= {minimum}, got {value!r}"
+    return None
+
+
+def _header_fault(u: Any, k: Any, count: Any) -> Optional[str]:
+    """Why a synopsis header ``(u, k, count)`` cannot stand, or ``None``."""
+    if _integer_fault("u", u, 1) or u & (u - 1):
+        return f"u must be a positive power of two, got {u!r}"
+    if k is not None and _integer_fault("k", k, 1):
+        return f"k must be a positive integer or null, got {k!r}"
+    return _integer_fault("coefficient count", count, 0)
+
+
+def serialize_arrays(u: int, k: Optional[int], indices: Any, values: Any) -> bytes:
+    """Serialise ``(u, k, indices, values)`` to the deterministic WHSYN001 bytes.
+
+    The mirror of :func:`deserialize_arrays` and the store's only writer.
+    ``indices`` must ascend strictly within ``[1, u]`` and ``values`` be
+    finite and non-zero: the query engine adopts a payload's arrays as they
+    are, so nothing it could not answer from may be written.
+
+    Raises:
+        InvalidParameterError: when the header or arrays break these rules.
+    """
+    indices = np.ascontiguousarray(indices, dtype="<i8")
+    values = np.ascontiguousarray(values, dtype="<f8")
+    fault = _header_fault(u, k, indices.size)
+    if fault:
+        raise InvalidParameterError(f"cannot serialise synopsis: {fault}")
+    if indices.ndim != 1 or values.shape != indices.shape:
+        raise InvalidParameterError("indices and values must be aligned 1-D arrays")
+    if indices.size and (indices[0] < 1 or indices[-1] > u
+                         or not (indices[1:] > indices[:-1]).all()):
+        raise InvalidParameterError(
+            f"coefficient indices must ascend strictly within [1, {u}]")
+    if not (np.isfinite(values).all() and values.all()):
+        raise InvalidParameterError("coefficient values must be finite and non-zero")
     header = json.dumps(
-        {"u": histogram.u, "k": histogram.k, "count": len(items)},
+        {"u": int(u), "k": None if k is None else int(k), "count": indices.size},
         sort_keys=True, separators=(",", ":"),
     ).encode("utf-8")
-    return b"".join([
-        MAGIC,
-        struct.pack("<I", len(header)),
-        header,
-        indices.tobytes(),  # reprolint: disable=hot-path-copy
-        values.tobytes(),  # reprolint: disable=hot-path-copy
-    ])
+    return b"".join([MAGIC, struct.pack("<I", len(header)), header, indices, values])
 
 
-def deserialize_arrays(payload: Any) -> Tuple[int, Optional[int], np.ndarray, np.ndarray]:
+def deserialize_arrays(payload: Any) -> _Arrays:
     """Parse the binary format into ``(u, k, indices, values)`` without copying.
 
     Accepts anything exposing the buffer protocol — ``bytes``, a
@@ -122,7 +153,9 @@ def deserialize_arrays(payload: Any) -> Tuple[int, Optional[int], np.ndarray, np
     arrays are read-only whenever the source buffer is.
 
     Raises:
-        SynopsisIntegrityError: if the payload is truncated or malformed.
+        SynopsisIntegrityError: if the payload is truncated or malformed, or
+            its header is not a power-of-two ``u``, a positive or null ``k``
+            and a non-negative ``count``.
     """
     view = memoryview(payload)
     if len(view) < len(MAGIC) + 4 or bytes(view[: len(MAGIC)]) != MAGIC:
@@ -132,10 +165,12 @@ def deserialize_arrays(payload: Any) -> Tuple[int, Optional[int], np.ndarray, np
     offset += 4
     try:
         header = json.loads(bytes(view[offset : offset + header_len]).decode("utf-8"))
-        u, count = int(header["u"]), int(header["count"])
-        k = int(header["k"]) if header["k"] is not None else None
+        u, k, count = header["u"], header["k"], header["count"]
     except (TypeError, ValueError, KeyError, UnicodeDecodeError) as error:
         raise SynopsisIntegrityError(f"unreadable synopsis header: {error}") from error
+    fault = _header_fault(u, k, count)
+    if fault:
+        raise SynopsisIntegrityError(f"invalid synopsis header: {fault}")
     offset += header_len
     expected = offset + count * 16
     if len(view) != expected:
@@ -147,15 +182,14 @@ def deserialize_arrays(payload: Any) -> Tuple[int, Optional[int], np.ndarray, np
     return u, k, indices, values
 
 
-def deserialize_histogram(payload: Any) -> WaveletHistogram:
-    """Parse the binary format back into a histogram (accepts any buffer).
-
-    Raises:
-        SynopsisIntegrityError: if the payload is truncated or malformed.
-    """
-    u, k, indices, values = deserialize_arrays(payload)
-    coefficients = {int(i): float(w) for i, w in zip(indices, values)}
-    return WaveletHistogram.from_coefficients(coefficients, u, k=k)
+def _histogram_arrays(histogram: WaveletHistogram) -> _Arrays:
+    """A histogram as the index-sorted ``(u, k, indices, values)`` the writer takes."""
+    coefficients = histogram.coefficients
+    indices = sorted(coefficients)
+    return (histogram.u, histogram.k,
+            np.fromiter(indices, dtype=np.int64, count=len(indices)),
+            np.fromiter(map(coefficients.__getitem__, indices), dtype=np.float64,
+                        count=len(indices)))
 
 
 # ------------------------------------------------------------------- metadata
@@ -211,11 +245,17 @@ class SynopsisMetadata:
             # Added for delta publishes; meta.json written by earlier
             # releases predates it, so absence means "not a delta".
             fields["parent_version"] = data.get("parent_version")
-            return cls(**fields)
+            metadata = cls(**fields)
         except ValueError as error:  # includes json.JSONDecodeError
             raise SynopsisIntegrityError(f"unreadable meta.json: {error}") from error
         except (KeyError, TypeError) as error:
             raise SynopsisIntegrityError(f"malformed meta.json: {error}") from error
+        fault = (_header_fault(metadata.u, metadata.k, metadata.coefficient_count)
+                 or _integer_fault("version", metadata.version, 1)
+                 or _integer_fault("payload_bytes", metadata.payload_bytes, 0))
+        if fault:
+            raise SynopsisIntegrityError(f"malformed meta.json: {fault}")
+        return metadata
 
 
 class StoredSynopsis:
@@ -300,22 +340,25 @@ class StoredSynopsis:
         """The payload's (indices, values) arrays, aliasing the payload bytes."""
         if self._arrays is None:
             payload = self._payload_locked()
-            u, _, indices, values = deserialize_arrays(payload)
-            if u != self.metadata.u or indices.size != self.metadata.coefficient_count:
+            u, k, indices, values = deserialize_arrays(payload)
+            metadata = self.metadata
+            if (u, k, indices.size) != (metadata.u, metadata.k, metadata.coefficient_count):
                 raise SynopsisIntegrityError(
-                    f"payload of {self.metadata.name} v{self.metadata.version} "
-                    f"disagrees with its metadata (u or coefficient count)"
+                    f"payload of {metadata.name} v{metadata.version} "
+                    f"disagrees with its metadata (u, k or coefficient count)"
                 )
             self._arrays = (indices, values)
         return self._arrays
 
     @property
     def histogram(self) -> WaveletHistogram:
-        """The synopsis itself; reads and checksum-verifies the payload once."""
+        """The dict-backed histogram, built once from the verified arrays."""
         with self._lock:
             if self._histogram is None:
-                self._arrays_locked()  # verify before materialising
-                self._histogram = deserialize_histogram(self._payload_locked())
+                indices, values = self._arrays_locked()
+                self._histogram = WaveletHistogram(
+                    self.metadata.u, dict(zip(indices.tolist(), values.tolist())),
+                    k=self.metadata.k)
             return self._histogram
 
     def coefficient_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -422,32 +465,26 @@ class SynopsisStore:
     def save(
         self,
         name: str,
-        histogram: WaveletHistogram,
+        histogram: Union[WaveletHistogram, _Arrays],
         *,
         algorithm: str = "unknown",
         seed: Optional[int] = None,
         build: Optional[Dict[str, Any]] = None,
     ) -> SynopsisMetadata:
-        """Persist a histogram as the next version of ``name``.
+        """Persist a synopsis as the next version of ``name``.
 
-        Returns the metadata of the new version (including its checksum).
+        ``histogram`` is a :class:`~repro.core.histogram.WaveletHistogram` or
+        the ``(u, k, indices, values)`` tuple :func:`deserialize_arrays`
+        returns; both are written by :func:`serialize_arrays`.  Returns the
+        metadata of the new version (including its checksum).
         """
-        if not NAME_PATTERN.match(name):
-            raise InvalidParameterError(
-                f"synopsis name must match {NAME_PATTERN.pattern}, got {name!r}"
-            )
-        payload = serialize_histogram(histogram)
-        with self._lock:
-            version = self.latest_version(name, default=0) + 1
-            return self._publish_locked(
-                name, version, histogram, payload,
-                algorithm=algorithm, seed=seed, build=build, parent_version=None,
-            )
+        return self._save(name, histogram, None, algorithm=algorithm, seed=seed,
+                          build=build)
 
     def save_delta(
         self,
         name: str,
-        histogram: WaveletHistogram,
+        histogram: Union[WaveletHistogram, _Arrays],
         *,
         parent_version: Optional[int],
         algorithm: str = "unknown",
@@ -463,62 +500,56 @@ class SynopsisStore:
         here, update counts in ``build``.  The parent must be the current
         latest version (``None`` when publishing a first version), so a
         maintainer working from a stale view fails loudly instead of silently
-        forking the version history.
+        forking the version history.  ``histogram`` takes the forms
+        :meth:`save` takes.
 
         Raises:
             InvalidParameterError: when ``parent_version`` is not the store's
                 current latest version of ``name``.
         """
+        return self._save(name, histogram, int(parent_version or 0),
+                          algorithm=algorithm, seed=seed, build=build)
+
+    def _save(self, name: str, synopsis: Union[WaveletHistogram, _Arrays],
+              parent: Optional[int], *, algorithm: str, seed: Optional[int],
+              build: Optional[Dict[str, Any]]) -> SynopsisMetadata:
+        """Write the next version of ``name``: a delta's ``parent`` must be the
+        latest version (0 for none); a plain save passes ``None``."""
         if not NAME_PATTERN.match(name):
             raise InvalidParameterError(
                 f"synopsis name must match {NAME_PATTERN.pattern}, got {name!r}"
             )
-        payload = serialize_histogram(histogram)
+        if isinstance(synopsis, WaveletHistogram):
+            synopsis = _histogram_arrays(synopsis)
+        u, k, indices, values = synopsis
+        payload = serialize_arrays(u, k, indices, values)
+        telemetry = get_telemetry()
         with self._lock:
             latest = self.latest_version(name, default=0)
-            expected = 0 if parent_version is None else int(parent_version)
-            if expected != latest:
+            if parent is not None and parent != latest:
                 raise InvalidParameterError(
                     f"delta publish of {name!r} expects parent version "
-                    f"{expected or None}, but the store's latest is {latest or None}"
+                    f"{parent or None}, but the store's latest is {latest or None}"
                 )
-            return self._publish_locked(
-                name, latest + 1, histogram, payload,
-                algorithm=algorithm, seed=seed, build=build,
-                parent_version=parent_version,
-            )
-
-    def _publish_locked(
-        self,
-        name: str,
-        version: int,
-        histogram: WaveletHistogram,
-        payload: bytes,
-        *,
-        algorithm: str,
-        seed: Optional[int],
-        build: Optional[Dict[str, Any]],
-        parent_version: Optional[int],
-    ) -> SynopsisMetadata:
-        telemetry = get_telemetry()
-        started = time.perf_counter()
-        with telemetry.tracer.span("store.save", kind="store", synopsis=name,
-                                   version=version, bytes=len(payload),
-                                   delta=parent_version is not None):
-            metadata = SynopsisMetadata(
-                name=name,
-                version=version,
-                algorithm=algorithm,
-                u=histogram.u,
-                k=histogram.k,
-                coefficient_count=len(histogram),
-                seed=seed,
-                checksum_sha256=hashlib.sha256(payload).hexdigest(),
-                payload_bytes=len(payload),
-                parent_version=parent_version,
-                build=dict(build or {}),
-            )
-            self.backend.publish(name, version, metadata.to_json() + "\n", payload)
+            version = latest + 1
+            started = time.perf_counter()
+            with telemetry.tracer.span("store.save", kind="store", synopsis=name,
+                                       version=version, bytes=len(payload),
+                                       delta=bool(parent)):
+                metadata = SynopsisMetadata(
+                    name=name,
+                    version=version,
+                    algorithm=algorithm,
+                    u=int(u),
+                    k=None if k is None else int(k),
+                    coefficient_count=len(indices),
+                    seed=seed,
+                    checksum_sha256=hashlib.sha256(payload).hexdigest(),
+                    payload_bytes=len(payload),
+                    parent_version=parent or None,
+                    build=dict(build or {}),
+                )
+                self.backend.publish(name, version, metadata.to_json() + "\n", payload)
         telemetry.metrics.observe("repro_store_save_seconds",
                                   time.perf_counter() - started)
         telemetry.metrics.inc("repro_store_save_bytes_total", len(payload))
@@ -583,7 +614,7 @@ class SynopsisStore:
                 continue
             handle = self.load(name, candidate)
             try:
-                handle.histogram  # eager read + checksum verification
+                handle.coefficient_arrays()  # eager read + checksum verification
             except SynopsisIntegrityError as error:
                 self.quarantine(name, candidate, reason=str(error))
                 last_error = error

@@ -12,13 +12,12 @@ partial: the full (untruncated) frequency vector of everything applied so
 far, as sorted int64 keys and int64 counts.  Folding a batch is
 :meth:`~repro.streaming.partial.PartialSynopsis.merge`.  The state is
 checkpointed as a companion catalog entry ``<name>.state`` — the WHSYN
-payload format is just sorted ``(index, value)`` pairs, so the same
-serialisation, checksumming and atomic-publish machinery carries the keys as
-int64 indices and the counts as float64 values unchanged.  Publishing
-transforms the state's arrays with the exact integer transform the batch
-builds use and re-selects the top-``k``
+payload format is just sorted ``(index, value)`` pairs, so the store writes
+the state's keys as int64 indices and its counts as float64 values straight
+from its arrays.  Publishing transforms those arrays with the exact integer
+transform the batch builds use and re-selects the top-``k``
 (:func:`~repro.core.haar.exact_haar_arrays`,
-:func:`~repro.core.topk_coefficients.top_k_from_arrays`).  By Haar linearity
+:func:`~repro.core.topk_coefficients.top_k_positions`).  By Haar linearity
 this equals "the coefficients of ``v`` plus the coefficient delta of the
 updates, re-thresholded" (:func:`~repro.core.topk_coefficients.merge_coefficients`
 composed with :func:`~repro.core.topk_coefficients.top_k_coefficients`) — but
@@ -45,8 +44,10 @@ partial (exact, by linearity).  Its state is reconstructed after a restart
 by re-delivering the in-window epochs; epochs at or below the published
 high-water mark rebuild the ring without re-publishing.  Each maintainer
 keeps to the names it publishes: a cumulative stream needs its
-``<name>.state`` checkpoint, a windowed stream a latest version that records
-its ``window``.
+``<name>.state`` checkpoint and a latest version a cumulative stream
+published, a windowed stream a latest version that records its ``window``.
+Each publish names the version the maintainer last published as its parent,
+so the store refuses it once another writer has published the name since.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
+import numpy as np
+
 from repro.core.haar import exact_haar_arrays, validate_domain
-from repro.core.histogram import WaveletHistogram
-from repro.core.topk_coefficients import top_k_from_arrays
+from repro.core.topk_coefficients import top_k_positions
 from repro.errors import InvalidParameterError, StreamingError, TaskTransientError
 from repro.mapreduce.faults import RetryPolicy
 from repro.serving.store import SynopsisMetadata, SynopsisStore
@@ -124,7 +126,8 @@ class _StreamMaintainer:
     """What both maintainers share: the count state and the serving publish.
 
     Subclasses set :attr:`u`, :attr:`k` and ``_state``, the exact count
-    vector every publish transforms.
+    vector every publish transforms, and seed ``_published``, the version
+    each publish names as its parent, from the latest version they open.
     """
 
     u: int
@@ -139,6 +142,7 @@ class _StreamMaintainer:
         self.seed = seed
         self.retry_policy = retry_policy
         self._applied = 0
+        self._published: Optional[int] = None
         self._last_publish_s: Optional[float] = None
 
     @property
@@ -147,26 +151,30 @@ class _StreamMaintainer:
         return self._applied
 
     def _publish_serving(self, build: Dict[str, Any], **span: Any) -> SynopsisMetadata:
-        """Publish the state's top-``k`` as a delta over the latest version."""
+        """Publish the state's top-``k`` as a delta over the version it last published.
+
+        The store refuses it when another writer has published the name
+        since: nothing is written, and the refusal is not retried.
+        """
         telemetry = get_telemetry()
         started = time.perf_counter()
-        parent = self.store.latest_version(self.name, default=0) or None
-        coefficients = top_k_from_arrays(
-            *exact_haar_arrays(self._state.keys, self._state.counts, self.u), self.k)
-        histogram = WaveletHistogram.from_coefficients(coefficients, self.u, k=self.k)
+        indices, values = exact_haar_arrays(self._state.keys, self._state.counts, self.u)
+        top = np.sort(top_k_positions(indices, np.abs(values), self.k))
+        top = top[values[top] != 0.0]
         with telemetry.tracer.span("maintain.publish", kind="streaming",
                                    stream=self.name, applied=self._applied, **span):
             metadata = _retrying_write(
                 self.retry_policy, self.name, "publish",
                 lambda: self.store.save_delta(
                     self.name,
-                    histogram,
-                    parent_version=parent,
+                    (self.u, self.k, indices[top], values[top]),
+                    parent_version=self._published,
                     algorithm=self.algorithm,
                     seed=self.seed,
                     build=build,
                 ),
             )
+        self._published = metadata.version
         now = time.perf_counter()
         registry = telemetry.metrics
         registry.observe("repro_stream_publish_seconds", now - started,
@@ -225,14 +233,22 @@ class SynopsisMaintainer(_StreamMaintainer):
 
         state_version = store.latest_version(self.state_name, default=0)
         serving_version = store.latest_version(name, default=0)
-        if state_version:
-            self._recover(state_version, u, k)
-        elif serving_version:
+        if serving_version and not state_version:
             raise StreamingError(
                 f"synopsis {name!r} has published versions but no streaming "
                 f"state checkpoint ({self.state_name!r}); a stream must start "
                 f"from an unused name (re-ingest the base data as updates)"
             )
+        if serving_version:
+            build = store.load(name, serving_version).metadata.build
+            if "applied_batches" not in build or "window" in build:
+                raise StreamingError(
+                    f"synopsis {name!r} v{serving_version} was not published by "
+                    f"a cumulative stream; its stream cannot continue over it"
+                )
+        self._published = serving_version or None
+        if state_version:
+            self._recover(state_version, u, k)
         else:
             if u is None:
                 raise InvalidParameterError(
@@ -354,10 +370,9 @@ class SynopsisMaintainer(_StreamMaintainer):
     # -------------------------------------------------------------- internals
     def _serving_lags(self) -> bool:
         """Whether the serving synopsis trails the durable state."""
-        latest = self.store.latest_version(self.name, default=0)
-        if not latest:
+        if self._published is None:
             return self._applied > 0
-        build = self.store.load(self.name, latest).metadata.build
+        build = self.store.load(self.name, self._published).metadata.build
         return int(build.get("applied_batches", -1)) != self._applied
 
     def _checkpoint_state(self) -> None:
@@ -365,16 +380,13 @@ class SynopsisMaintainer(_StreamMaintainer):
         telemetry = get_telemetry()
         started = time.perf_counter()
         state = self._state
-        histogram = WaveletHistogram.from_coefficients(
-            dict(zip(state.keys.tolist(), state.counts.tolist())), self.u, k=None
-        )
         with telemetry.tracer.span("maintain.checkpoint", kind="streaming",
                                    stream=self.name, applied=self._applied):
             _retrying_write(
                 self.retry_policy, self.name, "checkpoint",
                 lambda: self.store.save(
                     self.state_name,
-                    histogram,
+                    (self.u, None, state.keys, state.counts),
                     algorithm=STATE_ALGORITHM,
                     seed=self.seed,
                     build={
@@ -457,6 +469,7 @@ class SlidingWindowMaintainer(_StreamMaintainer):
             self.u = metadata.u
             self.k = int(k) if k is not None else int(metadata.k or 30)
             self._applied = int(metadata.build.get("applied_batches", 0))
+            self._published = latest
         else:
             if u is None:
                 raise InvalidParameterError(

@@ -214,6 +214,22 @@ class TestServingCommands:
                      "--profile", "executor=serial,data-plane=records"]) == 0
         assert "stored profiled v1" in capsys.readouterr().out
 
+    def test_ingest_refuses_to_continue_over_a_build(self, capsys, tmp_path):
+        """Regression: a restarted stream chained a u = 4096 delta onto the
+        u = 1024 Send-V build saved under its name since its last publish."""
+        store_dir = str(tmp_path / "synopses")
+        ingest = ["ingest", "--store", store_dir, "--name", "hits",
+                  "--u", "4096", "--batch-size", "200"]
+        assert main(ingest + ["--batches", "4"]) == 0
+        assert main(["build", "--quick", "--store", store_dir,
+                     "--name", "hits", "--algorithm", "send-v"]) == 0
+        capsys.readouterr()
+        assert main(ingest + ["--batches", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro ingest: error: StreamingError")
+        assert SynopsisStore(store_dir).versions("hits") == [1, 2, 3]
+
     def test_serve_bench_verifies_and_reports(self, capsys, tmp_path):
         assert main(["serve-bench", "--quick", "--count", "2000",
                      "--store", str(tmp_path / "bench-store")]) == 0

@@ -6,14 +6,18 @@ import dataclasses
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import TwoLevelSampling
+from repro.core.haar import exact_haar_arrays
 from repro.core.histogram import WaveletHistogram
+from repro.core.topk_coefficients import top_k_from_arrays
 from repro.errors import (
     InvalidParameterError,
     SynopsisIntegrityError,
@@ -22,11 +26,13 @@ from repro.errors import (
 from repro.mapreduce.hdfs import HDFS
 from repro.service import RuntimeProfile
 from repro.serving.store import (
+    MAGIC,
     META_FILENAME,
     PAYLOAD_FILENAME,
+    SynopsisMetadata,
     SynopsisStore,
-    deserialize_histogram,
-    serialize_histogram,
+    deserialize_arrays,
+    serialize_arrays,
 )
 
 
@@ -36,48 +42,159 @@ def _histogram(u: int = 128, k: int = 20, seed: int = 5) -> WaveletHistogram:
     return WaveletHistogram.from_dense(dense, k)
 
 
+def _arrays(histogram: WaveletHistogram):
+    """A histogram as the ``(u, k, indices, values)`` the writer takes."""
+    indices = sorted(histogram.coefficients)
+    return (histogram.u, histogram.k, np.array(indices, dtype=np.int64),
+            np.array([histogram.coefficients[i] for i in indices], dtype=np.float64))
+
+
+def _serialize(histogram: WaveletHistogram) -> bytes:
+    """The WHSYN001 payload of a histogram, through the array writer."""
+    return serialize_arrays(*_arrays(histogram))
+
+
+def _deserialize(payload) -> WaveletHistogram:
+    u, k, indices, values = deserialize_arrays(payload)
+    return WaveletHistogram(u, dict(zip(indices.tolist(), values.tolist())), k=k)
+
+
+def _payload_with_header(header: bytes) -> bytes:
+    return MAGIC + struct.pack("<I", len(header)) + header
+
+
+# The sha256 of four payloads as the writer wrote them before it took arrays.
+GOLDEN_SHA256 = {
+    "build": "9b3cfe4ad16294f636abeff6d5f584c88dfa0ad60739d83ceb15394f12751c0d",
+    "checkpoint": "1c0073e22e1c0cdb8ea8362c8b16e1d8b3aaccbe89f011c90ddbf8424c39f07d",
+    "empty": "c1c0616c6d2c2c739c3de3bc98c4e54243c0c4bf2e320c217a11c85edc484922",
+    "unit": "1046878f5bf6f9903858c91a55b82592db4e0657c74a15bcc7b2e28847420a22",
+}
+
+
+def _golden_synopses():
+    """A k = 30 build with negative values, a k = None checkpoint with
+    negative counts at u = 2^20, an empty synopsis and one at u = 1."""
+    keys = np.arange(1, 1025, dtype=np.int64)
+    build = WaveletHistogram.from_coefficients(top_k_from_arrays(
+        *exact_haar_arrays(keys, 1100 - keys + keys * 7919 % 97, 1024), 30), 1024, k=30)
+    keys = np.append(np.arange(1, 2 ** 20, 8191, dtype=np.int64), 2 ** 20)
+    counts = keys % 23 - 11
+    return {
+        "build": build,
+        "checkpoint": (2 ** 20, None, keys[counts != 0], counts[counts != 0]),
+        "empty": WaveletHistogram(1024, {}, k=30),
+        "unit": WaveletHistogram(1, {1: -3.5}, k=1),
+    }
+
+
 class TestByteFormat:
     def test_serialization_is_deterministic(self):
         histogram = _histogram()
-        assert serialize_histogram(histogram) == serialize_histogram(histogram)
+        assert _serialize(histogram) == _serialize(histogram)
 
     def test_round_trip_is_exact(self):
         histogram = _histogram()
-        payload = serialize_histogram(histogram)
-        loaded = deserialize_histogram(payload)
+        payload = _serialize(histogram)
+        loaded = _deserialize(payload)
         assert loaded.u == histogram.u and loaded.k == histogram.k
         assert loaded.coefficients == histogram.coefficients
         # Reserialising the reload is byte-identical to the original payload.
-        assert serialize_histogram(loaded) == payload
+        assert _serialize(loaded) == payload
+        assert serialize_arrays(*deserialize_arrays(payload)) == payload
 
     def test_rejects_truncated_and_corrupt_payloads(self):
-        payload = serialize_histogram(_histogram())
+        payload = _serialize(_histogram())
         with pytest.raises(SynopsisIntegrityError):
-            deserialize_histogram(payload[:-8])
+            deserialize_arrays(payload[:-8])
         with pytest.raises(SynopsisIntegrityError):
-            deserialize_histogram(b"NOTMAGIC" + payload[8:])
+            deserialize_arrays(b"NOTMAGIC" + payload[8:])
         with pytest.raises(SynopsisIntegrityError):
-            deserialize_histogram(payload + b"\x00")
+            deserialize_arrays(payload + b"\x00")
 
     def test_malformed_header_fields_raise_integrity_errors(self):
-        import struct
-
-        from repro.serving.store import MAGIC
-
-        def payload_with_header(header: bytes) -> bytes:
-            return MAGIC + struct.pack("<I", len(header)) + header
-
         for header in (b'{"u": 8, "k": "x", "count": 0}',
                        b'{"u": 8, "count": 0}',
                        b'{"u": "?", "k": 1, "count": 0}',
                        b"not json at all.."):
             with pytest.raises(SynopsisIntegrityError):
-                deserialize_histogram(payload_with_header(header))
+                deserialize_arrays(_payload_with_header(header))
+
+    @pytest.mark.parametrize("header", [b'{"u": 63, "k": 1, "count": 0}',
+                                        b'{"u": -64, "k": 1, "count": 0}',
+                                        b'{"u": 64, "k": 1.5, "count": 0}',
+                                        b'{"u": 64, "k": 0, "count": 0}'])
+    def test_header_fields_no_writer_produces_are_refused(self, header):
+        """Regression: these headers parsed (u = 63, k = 1.5 read as 1)."""
+        with pytest.raises(SynopsisIntegrityError, match="invalid synopsis header"):
+            deserialize_arrays(_payload_with_header(header))
+
+    @pytest.mark.parametrize("field, value", [("u", 63), ("k", 0), ("version", 0),
+                                              ("coefficient_count", -1)])
+    def test_metadata_fields_no_store_writes_are_refused(self, field, value):
+        """Regression: meta.json with these fields loaded as metadata."""
+        metadata = SynopsisStore.in_memory().save("n", _histogram(u=64, k=4))
+        data = json.loads(metadata.to_json())
+        assert SynopsisMetadata.from_json(json.dumps(data)) == metadata
+        data[field] = value
+        with pytest.raises(SynopsisIntegrityError, match="malformed meta.json"):
+            SynopsisMetadata.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_writer_refuses_non_finite_values(self, value):
+        """Regression: a NaN coefficient was saved with a valid checksum and
+        every range sum over the version answered NaN."""
+        store = SynopsisStore.in_memory()
+        with pytest.raises(InvalidParameterError, match="finite and non-zero"):
+            store.save("n", WaveletHistogram(64, {1: value, 3: 2.0}))
+        assert store.versions("n") == []
+
+    @pytest.mark.parametrize("indices, values", [
+        ([1, 3], [0.0, 2.0]),   # a zero value
+        ([3, 1], [1.0, 2.0]),   # descending
+        ([3, 3], [1.0, 2.0]),   # duplicate
+        ([0, 3], [1.0, 2.0]),   # below the domain
+        ([1, 65], [1.0, 2.0]),  # above the domain
+    ])
+    def test_writer_refuses_arrays_the_format_cannot_hold(self, indices, values):
+        with pytest.raises(InvalidParameterError):
+            serialize_arrays(64, 4, indices, values)
+        store = SynopsisStore.in_memory()
+        with pytest.raises(InvalidParameterError):
+            store.save("n", (64, 4, np.array(indices), np.array(values)))
+        assert store.versions("n") == []
 
     def test_none_k_round_trips(self):
         histogram = WaveletHistogram.from_coefficients({1: 2.0}, 8, k=None)
-        loaded = deserialize_histogram(serialize_histogram(histogram))
+        loaded = _deserialize(_serialize(histogram))
         assert loaded.k is None and loaded.coefficients == {1: 2.0}
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_SHA256))
+    def test_payload_bytes_are_pinned(self, case):
+        """Both forms the store writes keep the bytes it has always written."""
+        synopsis = _golden_synopses()[case]
+        forms = [synopsis, _arrays(synopsis)] if isinstance(
+            synopsis, WaveletHistogram) else [synopsis]
+        store = SynopsisStore.in_memory()
+        for form in forms:
+            assert store.save(case, form).checksum_sha256 == GOLDEN_SHA256[case]
+        payload = serialize_arrays(*forms[-1])
+        assert hashlib.sha256(payload).hexdigest() == GOLDEN_SHA256[case]
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_array_round_trip(self, data):
+        u = 2 ** data.draw(st.integers(0, 20))
+        k = data.draw(st.none() | st.integers(1, 2 ** 40))
+        indices = sorted(data.draw(st.sets(st.integers(1, u), max_size=40)))
+        nonzero = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+        values = data.draw(st.lists(nonzero, min_size=len(indices),
+                                    max_size=len(indices)))
+        payload = serialize_arrays(u, k, indices, values)
+        loaded = deserialize_arrays(payload)
+        assert loaded[:2] == (u, k)
+        assert loaded[2].tolist() == indices and loaded[3].tolist() == values
+        assert serialize_arrays(*loaded) == payload
 
 
 class TestStoreRoundTrip:

@@ -21,7 +21,7 @@ from repro.mapreduce.executor import ParallelExecutor
 from repro.service import RuntimeProfile, SynopsisService
 from repro.serving.backends import DirectoryBackend, MemoryBackend
 from repro.serving.server import QueryServer
-from repro.serving.store import SynopsisStore, serialize_histogram
+from repro.serving.store import SynopsisStore, serialize_arrays
 from repro.serving.workload import WorkloadGenerator
 
 
@@ -73,7 +73,7 @@ class TestMemoryRoundTrip:
                 memory_store.save(bad, _histogram())
 
     def test_publish_refuses_existing_version(self, memory_store, tmp_path):
-        payload = serialize_histogram(_histogram())
+        payload = serialize_arrays(128, None, [1, 2], [4.0, -1.5])
         for backend in (memory_store.backend, DirectoryBackend(str(tmp_path))):
             backend.publish("dup", 1, "{}", payload)
             with pytest.raises(InvalidParameterError):

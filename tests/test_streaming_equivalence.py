@@ -438,6 +438,71 @@ class TestCrashRecovery:
         _assert_serving_matches_batch(store, "down", generator, batches, U, K)
 
 
+# ------------------------------------------- another writer on the name
+def _counting_save_delta(store):
+    """Count the store's ``save_delta`` calls (an instance attribute)."""
+    calls = []
+    original = store.save_delta
+
+    def save_delta(*args, **kwargs):
+        calls.append(kwargs["parent_version"])
+        return original(*args, **kwargs)
+
+    store.save_delta = save_delta
+    return calls
+
+
+class TestForeignVersions:
+    """A stream publishes only over the version it last published itself."""
+
+    def test_cumulative_stream_refuses_to_publish_over_another_writer(self):
+        """Regression: a maintainer used to chain its next version onto a
+        version another writer saved, which its state never held."""
+        store = SynopsisStore.in_memory()
+        batches = UpdateStreamGenerator(u=U, seed=37).batches(40, 3)
+        maintainer = SynopsisMaintainer(store, "hits", u=U, k=K)
+        ingestor = StreamIngestor(U)
+        for batch in batches[:2]:
+            maintainer.ingest(ingestor.batch(batch.inserts, batch.deletes))
+        _batch_publish(store, "hits", np.array([1, 2, 3]), U, K)
+        calls = _counting_save_delta(store)
+        with pytest.raises(InvalidParameterError, match="expects parent version 2"):
+            maintainer.ingest(ingestor.batch(batches[2].inserts, batches[2].deletes))
+        assert calls == [2]  # refused once, not retried
+        with pytest.raises(InvalidParameterError):
+            maintainer.maintain(force=True)
+        assert store.versions("hits") == [1, 2, 3]
+        assert store.load("hits").metadata.algorithm == "batch"
+
+    def test_window_refuses_to_publish_over_another_writer(self):
+        store = SynopsisStore.in_memory()
+        batches = UpdateStreamGenerator(u=U, seed=41).batches(40, 3)
+        maintainer = SlidingWindowMaintainer(store, "recent", u=U, k=K, window=2)
+        for batch in batches[:2]:
+            maintainer.advance(PartialSynopsis.from_updates(U, inserts=batch.inserts))
+        _batch_publish(store, "recent", np.array([1, 2, 3]), U, K)
+        calls = _counting_save_delta(store)
+        with pytest.raises(InvalidParameterError, match="expects parent version 2"):
+            maintainer.advance(PartialSynopsis.from_updates(U, inserts=batches[2].inserts))
+        assert calls == [2]
+        with pytest.raises(InvalidParameterError):
+            maintainer.maintain(force=True)
+        assert store.versions("recent") == [1, 2, 3]
+
+    @pytest.mark.parametrize("build", [{}, {"window": 2, "applied_batches": 2}])
+    def test_reopened_stream_refuses_a_foreign_latest_version(self, build):
+        """Regression: a restarted maintainer published a delta over a batch
+        build saved after its last publish."""
+        store = SynopsisStore.in_memory()
+        batches = UpdateStreamGenerator(u=U, seed=43).batches(40, 3)
+        _stream_all(store, "hits", batches[:2], U, K)
+        store.save("hits", WaveletHistogram(2 * U, {1: 5.0}, k=K), build=build)
+        with pytest.raises(StreamingError, match="v3 was not published by a cumulative"):
+            SynopsisService(store).ingest("hits", batches[2].inserts, u=U, k=K)
+        assert store.versions("hits") == [1, 2, 3]
+        assert store.versions("hits.state") == [1, 2]
+
+
 # ------------------------------------------------------ partial algebra
 def _key_arrays():
     return st.lists(st.integers(1, 64), max_size=40).map(

@@ -62,7 +62,7 @@ from repro.sketches.wavelet import WaveletGcsSketch
 from repro.serving.store import (
     SynopsisStore,
     deserialize_arrays,
-    serialize_histogram,
+    serialize_arrays,
 )
 from repro.serving.workload import WorkloadGenerator
 from repro.service import RuntimeProfile, SynopsisService
@@ -426,7 +426,9 @@ class TestMmapPayloads:
 
     def test_deserialize_arrays_views_the_payload_without_copying(self):
         histogram = _histogram()
-        payload = serialize_histogram(histogram)
+        ordered = sorted(histogram.coefficients)
+        payload = serialize_arrays(histogram.u, histogram.k, ordered,
+                                   [histogram.coefficients[i] for i in ordered])
         u, count, indices, values = deserialize_arrays(payload)
         assert u == histogram.u
         assert count == indices.size
